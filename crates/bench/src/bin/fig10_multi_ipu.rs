@@ -20,10 +20,9 @@ use parendi_sim::{BspSimulator, GangSimulator, TransportChoice};
 /// The off-chip transport backends the measured section sweeps: the
 /// record `engine` tag and the backend. The in-process backend keeps
 /// the plain `bsp` tag so baselines stay comparable across PRs.
-const TRANSPORTS: [(&str, TransportChoice); 3] = [
+const TRANSPORTS: [(&str, TransportChoice); 2] = [
     ("bsp", TransportChoice::InProcess),
     ("bsp-shm", TransportChoice::SharedMem),
-    ("bsp-tcp", TransportChoice::Tcp),
 ];
 
 fn main() {
@@ -133,13 +132,13 @@ fn main() {
     // single-lane baseline of the gang comparison below.
     let mut last_point = None;
     let mut records = Vec::new();
-    // Per chip count: (per-backend kcyc/s triple, transport bytes).
+    // Per chip count: (per-backend kcyc/s, transport bytes).
     let mut transport_rows: Vec<(u32, Vec<f64>, u64)> = Vec::new();
     for &chips in chip_sweep {
         let mut cfg = PartitionConfig::with_tiles(per_chip * chips);
         cfg.tiles_per_chip = per_chip;
         let comp = compile(&circuit, &cfg).expect("host-scale compile");
-        // The same partition under every transport backend. All three
+        // The same partition under every transport backend. Both
         // must land on bit-identical outputs (checked below); the
         // in-process run provides the detailed phase row.
         let mut ph = None;

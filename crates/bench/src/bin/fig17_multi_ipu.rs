@@ -17,10 +17,9 @@ use parendi_sim::{BspSimulator, TransportChoice};
 /// The off-chip transport backends the measured section sweeps (the
 /// record `engine` tag and the backend); the in-process backend keeps
 /// the plain `bsp` tag so baselines stay comparable across PRs.
-const TRANSPORTS: [(&str, TransportChoice); 3] = [
+const TRANSPORTS: [(&str, TransportChoice); 2] = [
     ("bsp", TransportChoice::InProcess),
     ("bsp-shm", TransportChoice::SharedMem),
-    ("bsp-tcp", TransportChoice::Tcp),
 ];
 
 /// Spin iterations per flushed word (the host stand-in for the slower

@@ -107,7 +107,6 @@ fn main() {
         SpanKind::Compute => "compute",
         SpanKind::OffchipFlush => "flush",
         SpanKind::OverlapResidual => "residual",
-        SpanKind::TransportSend => "send",
         SpanKind::TransportRecv => "recv",
         SpanKind::BarrierWait => "barrier",
         SpanKind::Exchange => "exchange",

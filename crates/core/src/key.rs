@@ -25,22 +25,37 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The FNV-1a 64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// An incremental FNV-1a 64 hasher over explicit, deterministic feeds.
-/// Deliberately not `std::hash::Hasher`: nothing here may depend on
-/// `RandomState` or iteration order.
+/// An incremental FNV-1a 64 hasher over explicit, deterministic feeds
+/// — the workspace's one non-cryptographic digest (compile keys here,
+/// snapshot checksums in the sim crate). Deliberately not
+/// `std::hash::Hasher`: nothing here may depend on `RandomState` or
+/// iteration order.
 #[derive(Clone, Copy, Debug)]
-struct Fnv(u64);
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl Fnv {
-    fn new() -> Self {
+    /// A hasher at the FNV-1a 64 offset basis (the digest of no input).
+    pub fn new() -> Self {
         Fnv(FNV_OFFSET)
     }
 
-    fn bytes(&mut self, b: &[u8]) {
+    /// Feeds raw bytes.
+    pub fn bytes(&mut self, b: &[u8]) {
         for &x in b {
             self.0 ^= x as u64;
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 
     fn u64(&mut self, v: u64) {
@@ -177,7 +192,7 @@ pub fn circuit_content_hash(circuit: &Circuit) -> u64 {
         h.str(&o.name);
         h.u32(o.node.0);
     }
-    h.0
+    h.finish()
 }
 
 /// Feeds every compile-relevant [`PartitionConfig`] field.
@@ -232,7 +247,7 @@ impl CompileKey {
             circuit_hash,
             lanes,
             packed,
-            digest: h.0,
+            digest: h.finish(),
         }
     }
 
@@ -282,6 +297,15 @@ impl CompileKey {
 mod tests {
     use super::*;
     use parendi_rtl::Builder;
+
+    /// Published FNV-1a 64 test vectors.
+    #[test]
+    fn fnv_known_answers() {
+        assert_eq!(Fnv::new().finish(), 0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv::new();
+        h.bytes(b"a");
+        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+    }
 
     fn counter(name: &str, init: u64) -> Circuit {
         let mut b = Builder::new(name);

@@ -50,7 +50,7 @@ pub mod stages;
 
 pub use config::{CompileError, MultiChipStrategy, PartitionConfig, Strategy};
 pub use exchange::{plan, ExchangePlan};
-pub use key::{circuit_content_hash, CompileKey};
+pub use key::{circuit_content_hash, CompileKey, Fnv};
 pub use partition::Partition;
 pub use process::Process;
 pub use routing::{ChannelClass, ChannelSpec, Hop, PortRoute, RegRoute, Routing};

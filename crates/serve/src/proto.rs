@@ -1,8 +1,7 @@
 //! The serve wire protocol: length-prefixed `PSRV` frames carrying
 //! line-oriented text payloads.
 //!
-//! Frame wire format (little-endian), following the `PRND` framing
-//! discipline of the sim crate's TCP transport:
+//! Frame wire format (little-endian):
 //!
 //! ```text
 //! magic  u32   0x50535256 ("PSRV")

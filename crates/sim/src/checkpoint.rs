@@ -39,6 +39,7 @@
 //! than misread. There is deliberately no migration machinery — a
 //! snapshot is a crash-recovery artifact, not an archival format.
 
+use parendi_core::Fnv;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -280,7 +281,8 @@ impl Snapshot {
             });
         }
         let total = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        if bytes.len() < total {
+        // Header (magic, version, length) plus the trailing checksum.
+        if total < 24 || bytes.len() < total {
             return Err(SnapshotError::Truncated);
         }
         let bytes = &bytes[..total];
@@ -301,7 +303,7 @@ impl Snapshot {
         let onchip = r.u32()?;
         let channel_words = r.u64_vec()?;
         let ntiles = r.u32()? as usize;
-        let mut tiles_fp = Vec::with_capacity(ntiles);
+        let mut tiles_fp = Vec::with_capacity(r.cap(ntiles, 28));
         for _ in 0..ntiles {
             tiles_fp.push(TileShape {
                 arena: r.u64()?,
@@ -343,7 +345,7 @@ impl Snapshot {
         }
         let inputs = r.words(fingerprint.input_words)?;
         let nactive = r.u32()? as usize;
-        let mut active = Vec::with_capacity(nactive);
+        let mut active = Vec::with_capacity(r.cap(nactive, 4));
         for _ in 0..nactive {
             active.push(r.u32()?);
         }
@@ -415,12 +417,9 @@ pub(crate) fn auto_checkpoint_from_env() -> Option<(PathBuf, u64)> {
 /// FNV-1a 64 over `bytes` — dependency-free corruption detection (not
 /// cryptographic, like every other integrity check in this workspace).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.finish()
 }
 
 /// Little-endian byte sink for [`Snapshot::to_bytes`].
@@ -468,6 +467,14 @@ struct Reader<'a> {
 }
 
 impl Reader<'_> {
+    /// A `Vec` reservation for `n` decoded items of at least
+    /// `min_bytes` encoded bytes each, capped by the bytes left: a
+    /// corrupt count then ends in `Truncated`, never in a huge
+    /// allocation.
+    fn cap(&self, n: usize, min_bytes: usize) -> usize {
+        n.min((self.bytes.len() - self.pos) / min_bytes)
+    }
+
     fn take(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
         let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
         if end > self.bytes.len() {
@@ -498,7 +505,7 @@ impl Reader<'_> {
     }
 
     fn words(&mut self, n: u64) -> Result<Vec<u64>, SnapshotError> {
-        let mut out = Vec::with_capacity(n as usize);
+        let mut out = Vec::with_capacity(self.cap(usize::try_from(n).unwrap_or(usize::MAX), 8));
         for _ in 0..n {
             out.push(self.u64()?);
         }
@@ -613,6 +620,58 @@ mod tests {
         ));
 
         assert!(Snapshot::from_bytes(&bytes).is_ok());
+    }
+
+    /// Rewrites the trailing checksum so a hand-edited encoding passes
+    /// the integrity check and reaches the field decoder.
+    fn reseal(bytes: &mut [u8]) {
+        let n = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..n]);
+        bytes[n..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// A length field shorter than header + checksum is truncation, not
+    /// an out-of-range slice.
+    #[test]
+    fn short_length_field_is_truncated() {
+        for total in [0u64, 7, 23] {
+            let mut bytes = Vec::with_capacity(24);
+            bytes.extend_from_slice(&MAGIC);
+            bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&total.to_le_bytes());
+            bytes.extend_from_slice(&[0; 8]);
+            assert!(
+                matches!(Snapshot::from_bytes(&bytes), Err(SnapshotError::Truncated)),
+                "length field {total}"
+            );
+        }
+    }
+
+    /// A checksummed snapshot whose shape claims more words than it
+    /// carries ends in `Truncated` instead of reserving them up front.
+    #[test]
+    fn oversized_shape_is_truncated() {
+        let mut s = sample();
+        s.fingerprint.tiles[0].arena = 1 << 61;
+        let bytes = s.to_bytes();
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(SnapshotError::Truncated)
+        ));
+
+        // Same for an absurd tile count: patch the `ntiles` field and
+        // reseal. It follows the 16-byte header, the circuit name
+        // (4 + 5), lanes/pw/word_major (3 × 4), input_words (8),
+        // onchip (4), and the two channel word counts (4 + 2 × 8).
+        let mut bytes = sample().to_bytes();
+        let at = 16 + 9 + 12 + 8 + 4 + 20;
+        assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes(), "ntiles offset");
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut bytes);
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(SnapshotError::Truncated)
+        ));
     }
 
     /// Fingerprint mismatches name the first differing dimension.

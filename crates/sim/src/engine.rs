@@ -92,8 +92,8 @@
 //! chips on the real machine, and the engine moves them through a
 //! pluggable [`crate::transport::ChipTransport`]: the default
 //! in-process backend keeps the historical direct-write path bit for
-//! bit, while the shared-memory and TCP backends stage each pair's
-//! aggregate and carry it across a process-style boundary per cycle
+//! bit, while the shared-memory backend stages each pair's
+//! aggregate and carries it across a process boundary per cycle
 //! under the same double-buffered epoch discipline. The core's flush
 //! path writes whatever mailbox slice the backend exposes and notifies
 //! it per flushed tile; the time a backend spends completing receives
@@ -710,16 +710,23 @@ pub(crate) struct Compiled {
     pub isa: VecIsa,
 }
 
+/// Gang width from which `Auto` interleaves. Measured crossover
+/// (`gang_lanes` simd/str column): interleaving already edges out
+/// lane-major at 4 lanes (1.01-1.31x across the quick designs) and
+/// wins decisively at 64 (2.4-5.7x), while at 2 and 3 lanes lane-major
+/// is ahead (simd/str 0.52-0.93x on sprng32, sr3 and ca256, quick
+/// mode, one thread, 2-core Xeon).
+const WORD_MAJOR_MIN_LANES: usize = 4;
+
 /// The strided memory layout requested of [`Compiled::new`]. `Auto`
-/// resolves from the `PARENDI_LANE_LAYOUT` env var (`word`/
-/// `interleaved` vs `lane`/`strided`) and otherwise interleaves gangs
-/// wide enough for the vector kernels to win. Single-lane engines are
+/// interleaves gangs of at least [`WORD_MAJOR_MIN_LANES`] lanes, wide
+/// enough for the vector kernels to win. Single-lane engines are
 /// always lane-major (the layouts coincide at one lane).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LayoutChoice {
-    /// Env override, then the lane-count heuristic.
+    /// The lane-count rule above.
     Auto,
-    /// Force `[lane × words]` (the PR-5 layout).
+    /// Force `[lane × words]`.
     LaneMajor,
     /// Force `[word × lanes]` interleaving.
     WordMajor,
@@ -732,27 +739,7 @@ impl LayoutChoice {
             && match self {
                 LayoutChoice::LaneMajor => false,
                 LayoutChoice::WordMajor => true,
-                LayoutChoice::Auto => match std::env::var("PARENDI_LANE_LAYOUT").as_deref() {
-                    Ok("word") | Ok("interleaved") => true,
-                    Ok("lane") | Ok("strided") => false,
-                    // Measured crossover (`gang_lanes` simd/str
-                    // column, baselines/post_pr6.json): interleaving
-                    // already edges out lane-major at 4 lanes
-                    // (1.01-1.31x across the quick designs) and wins
-                    // decisively at 64 (2.4-5.7x), so interleave as
-                    // soon as a chunk fills a half vector register.
-                    // `PARENDI_LAYOUT_CROSSOVER=<n>` overrides the
-                    // threshold for boxes where the measured crossover
-                    // differs (clamped to ≥ 2: a 1-lane gang is always
-                    // lane-major anyway).
-                    _ => {
-                        let cross = std::env::var("PARENDI_LAYOUT_CROSSOVER")
-                            .ok()
-                            .and_then(|v| v.parse::<usize>().ok())
-                            .unwrap_or(4);
-                        lanes >= cross.max(2)
-                    }
-                },
+                LayoutChoice::Auto => lanes >= WORD_MAJOR_MIN_LANES,
             }
     }
 }

@@ -2665,29 +2665,6 @@ pub(crate) struct EngineCore<'c> {
     /// multiples of `every_n` and a snapshot is written at each
     /// boundary. `None` = off (the default).
     auto_ckpt: Option<(PathBuf, u64)>,
-    /// Declared last: writes the configured trace file after `shared`
-    /// (and with it the transport and its writer threads) is gone, so
-    /// the drained JSON includes the final transport-send spans. Held
-    /// for its `Drop` only.
-    _trace_writer: TraceAutoWrite,
-}
-
-/// Drop sentinel that writes the trace to its configured path, if any.
-struct TraceAutoWrite(Option<Arc<TraceSink>>);
-
-impl Drop for TraceAutoWrite {
-    fn drop(&mut self) {
-        if let Some(sink) = self.0.take() {
-            if let Some(warning) = sink.drop_warning() {
-                eprintln!("[trace] WARNING: {warning}");
-            }
-            match sink.write_configured() {
-                Ok(Some(p)) => eprintln!("[trace] wrote {}", p.display()),
-                Ok(None) => {}
-                Err(e) => eprintln!("[trace] write failed: {e}"),
-            }
-        }
-    }
 }
 
 impl<'c> EngineCore<'c> {
@@ -2741,10 +2718,9 @@ impl<'c> EngineCore<'c> {
 
     /// [`EngineCore::with_transport`] with an explicit [`TraceConfig`]
     /// (the plain constructors read `PARENDI_TRACE`). With tracing on,
-    /// every worker (and every transport writer thread) registers a
-    /// track on the engine's [`TraceSink`]; the trace is written to the
-    /// configured path when the engine drops and can be drained at any
-    /// point in between.
+    /// every worker registers a track on the engine's [`TraceSink`];
+    /// the trace is written to the configured path when the engine
+    /// drops and can be drained at any point in between.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn with_trace(
         circuit: &'c Circuit,
@@ -2982,7 +2958,6 @@ impl<'c> EngineCore<'c> {
                 recv_of,
                 frames_sent: metrics.counter("frames_sent"),
                 frames_received: metrics.counter("frames_received"),
-                trace: trace.clone(),
             },
         );
 
@@ -3032,10 +3007,7 @@ impl<'c> EngineCore<'c> {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("engine-worker-{t}"))
-                    .spawn(move || {
-                        crate::transport::maybe_pin_to_core(t);
-                        worker_loop(&shared, t, mine)
-                    })
+                    .spawn(move || worker_loop(&shared, t, mine))
                     .expect("spawn engine worker")
             })
             .collect();
@@ -3047,7 +3019,6 @@ impl<'c> EngineCore<'c> {
         }
         let outputs_by_tile: Vec<(u32, Vec<u32>)> = grouped.into_iter().collect();
 
-        let _trace_writer = TraceAutoWrite(shared.trace.clone());
         EngineCore {
             circuit,
             shared,
@@ -3064,7 +3035,6 @@ impl<'c> EngineCore<'c> {
             retired_at: vec![None; lanes],
             cycle: 0,
             auto_ckpt: auto_checkpoint_from_env(),
-            _trace_writer,
         }
     }
 
@@ -3882,12 +3852,24 @@ impl<'c> EngineCore<'c> {
 }
 
 impl Drop for EngineCore<'_> {
+    /// Joins the workers, then writes the configured trace file (if
+    /// any), so the JSON holds every span the workers recorded.
     fn drop(&mut self) {
         if !self.workers.is_empty() {
             self.shared.exit.store(true, Ordering::SeqCst);
             self.shared.gate.wait();
             for w in self.workers.drain(..) {
                 let _ = w.join();
+            }
+        }
+        if let Some(sink) = &self.shared.trace {
+            if let Some(warning) = sink.drop_warning() {
+                eprintln!("[trace] WARNING: {warning}");
+            }
+            match sink.write_configured() {
+                Ok(Some(p)) => eprintln!("[trace] wrote {}", p.display()),
+                Ok(None) => {}
+                Err(e) => eprintln!("[trace] write failed: {e}"),
             }
         }
     }

@@ -249,9 +249,8 @@ impl<'c> GangSimulator<'c> {
     /// with an **explicit strided memory layout**: `word_major = true`
     /// interleaves strided state `[word × lanes]` so the SIMD kernels
     /// sweep dense lane rows; `false` keeps the `[lane × words]` layout.
-    /// The default constructors resolve the layout automatically
-    /// (`PARENDI_LANE_LAYOUT` env override, then a lane-count
-    /// heuristic); this entry point exists so benchmarks can measure
+    /// The default constructors resolve the layout from the lane
+    /// count; this entry point exists so benchmarks can measure
     /// both sides. Functionally bit-identical either way.
     ///
     /// # Panics

@@ -80,5 +80,5 @@ pub use interp::Simulator;
 pub use parendi_telemetry::{CodeStats, MetricsSnapshot, TraceConfig, TraceLevel, TrackSummary};
 pub use precompiled::Precompiled;
 pub use timing::{ipu_rate_khz, ipu_timings};
-pub use transport::{TransportChoice, TransportError};
+pub use transport::TransportChoice;
 pub use vcd::{dump_vcd, dump_vcd_lane, VcdWriter};

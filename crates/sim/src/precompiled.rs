@@ -34,10 +34,9 @@ pub struct Precompiled {
 impl Precompiled {
     /// Runs the full compile front-end for `lanes` side-by-side
     /// scenarios (`packed` bit-packs 1-bit state across lanes). Layout
-    /// resolves like the plain constructors (`PARENDI_LANE_LAYOUT`,
-    /// then the crossover heuristic), so an engine built from this
-    /// artifact is bit-identical to `GangSimulator::new` /
-    /// `new_packed` at the same shape.
+    /// resolves like the plain constructors (the lane-count rule), so
+    /// an engine built from this artifact is bit-identical to
+    /// `GangSimulator::new` / `new_packed` at the same shape.
     ///
     /// # Panics
     ///

@@ -20,10 +20,6 @@
 //!   words. The mapping protocol is process-agnostic (a child process
 //!   can `ShmMap::open` the same path and exchange frames — see the
 //!   cross-process test in `shmem.rs`).
-//! * [`TransportChoice::Tcp`] — completed pair buffers travel as
-//!   length-prefixed frames over loopback sockets, one stream per
-//!   ordered pair, with a dedicated writer thread per pair so a worker
-//!   never blocks on a full socket buffer.
 //!
 //! # Epoch discipline
 //!
@@ -62,35 +58,31 @@
 //! implicitly through shared memory). Receive waits are timed by the
 //! cycle loop into the same `BspPhases::offchip_s` column as the
 //! modeled link residual, so fig10/fig17 print comparable measured
-//! columns for all three backends.
+//! columns for both backends.
 //!
 //! # Failure behavior
 //!
-//! Transport faults are unrecoverable mid-cycle: a malformed or short
-//! TCP frame, a closed peer, or an unmappable shared-memory file
-//! panics the worker, and the engine's worker loop converts any worker
-//! panic into a process abort (a hung barrier would deadlock the run).
-//! Frame decoding itself ([`tcp::decode_frame`]) is a total function
-//! returning `Result`, unit-tested on truncated and corrupted input.
+//! Transport faults are unrecoverable mid-cycle: an unmappable
+//! shared-memory file or a frame that misses the
+//! `PARENDI_TRANSPORT_TIMEOUT_MS` budget panics the worker, and the
+//! engine's worker loop converts any worker panic into a process abort
+//! (a hung barrier would deadlock the run).
 
 use crate::engine::Mailbox;
-use parendi_telemetry::{Counter, TraceSink};
+use parendi_telemetry::Counter;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 pub(crate) mod inproc;
 pub(crate) mod shmem;
-pub(crate) mod tcp;
 
 /// Which backend carries the off-chip aggregate mailboxes.
 ///
 /// Selected per simulator via `BspSimulator::with_transport` /
 /// `GangSimulator::with_transport`, or globally via the
-/// `PARENDI_TRANSPORT` environment variable (`inproc` | `shm` |
-/// `tcp`). All backends are bit-exact; they differ only in which
-/// memory-domain boundary the aggregates cross and in the measured
-/// cost that lands in `BspPhases::offchip_s`.
+/// `PARENDI_TRANSPORT` environment variable (`inproc` | `shm`). Both
+/// backends are bit-exact; they differ only in which memory-domain
+/// boundary the aggregates cross and in the measured cost that lands
+/// in `BspPhases::offchip_s`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TransportChoice {
     /// Direct writes into the consumer mailbox (one address space).
@@ -98,19 +90,16 @@ pub enum TransportChoice {
     InProcess,
     /// Staged frames through a memory-mapped `/dev/shm` file.
     SharedMem,
-    /// Length-prefixed frames over loopback TCP sockets.
-    Tcp,
 }
 
 impl TransportChoice {
-    /// Reads `PARENDI_TRANSPORT` (`inproc` | `shm` | `tcp`, with a few
+    /// Reads `PARENDI_TRANSPORT` (`inproc` | `shm`, with a few
     /// aliases), defaulting to [`TransportChoice::InProcess`]. Unknown
     /// values fall back to the default so a typo degrades to the
     /// bit-exact path rather than aborting.
     pub fn from_env() -> Self {
         match std::env::var("PARENDI_TRANSPORT").as_deref() {
             Ok("shm") | Ok("shmem") | Ok("shared") | Ok("shared-mem") => Self::SharedMem,
-            Ok("tcp") => Self::Tcp,
             _ => Self::InProcess,
         }
     }
@@ -120,87 +109,8 @@ impl TransportChoice {
         match self {
             Self::InProcess => "inproc",
             Self::SharedMem => "shm",
-            Self::Tcp => "tcp",
         }
     }
-}
-
-/// A typed transport fault on the connection-setup or framing path.
-///
-/// Backends surface these instead of bare `unwrap` panics so a refused
-/// connection, a half-open peer, or a stalled handshake produces a
-/// message naming the failing operation (and, for timeouts, the
-/// configured budget) before the worker aborts. The budget comes from
-/// `PARENDI_TRANSPORT_TIMEOUT_MS` — see [`transport_timeout`].
-#[derive(Debug)]
-pub enum TransportError {
-    /// An OS-level I/O failure; `context` names the operation
-    /// (e.g. `"connect pair 3"`).
-    Io {
-        /// The operation that failed.
-        context: String,
-        /// The underlying OS error.
-        source: std::io::Error,
-    },
-    /// An operation exceeded the `PARENDI_TRANSPORT_TIMEOUT_MS` budget.
-    Timeout {
-        /// The operation that timed out.
-        context: String,
-        /// The budget that was exceeded, in milliseconds.
-        ms: u64,
-    },
-    /// The peer spoke the wrong protocol during connection setup.
-    Handshake(String),
-    /// A received frame failed validation (bad magic, short payload…).
-    Frame(String),
-}
-
-impl std::fmt::Display for TransportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Io { context, source } => write!(f, "transport i/o error: {context}: {source}"),
-            Self::Timeout { context, ms } => {
-                write!(
-                    f,
-                    "transport timeout: {context} exceeded {ms} ms \
-                     (PARENDI_TRANSPORT_TIMEOUT_MS)"
-                )
-            }
-            Self::Handshake(msg) => write!(f, "transport handshake error: {msg}"),
-            Self::Frame(msg) => write!(f, "transport frame error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TransportError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-impl TransportError {
-    /// Wraps an [`std::io::Error`] with the operation it interrupted.
-    pub(crate) fn io(context: impl Into<String>, source: std::io::Error) -> Self {
-        Self::Io {
-            context: context.into(),
-            source,
-        }
-    }
-}
-
-/// The connection-setup / blocking-read budget: `Some(duration)` from
-/// `PARENDI_TRANSPORT_TIMEOUT_MS` (default 30 000 ms), or `None` when
-/// the variable is set to `0` (wait forever). Malformed values fall
-/// back to the default.
-pub(crate) fn transport_timeout() -> Option<Duration> {
-    let ms = std::env::var("PARENDI_TRANSPORT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(30_000);
-    (ms != 0).then(|| Duration::from_millis(ms))
 }
 
 /// Everything a backend needs at build time, derived by
@@ -224,9 +134,6 @@ pub(crate) struct TransportInit<'a> {
     /// Credited once per received pair frame (all backends, including
     /// the implicit in-process receives).
     pub frames_received: Counter,
-    /// Event-trace sink; backends with their own threads (the TCP
-    /// writer threads) register tracks here.
-    pub trace: Option<Arc<TraceSink>>,
 }
 
 /// A backend carrying the off-chip aggregate mailboxes (see the module
@@ -279,7 +186,6 @@ pub(crate) fn build(choice: TransportChoice, init: TransportInit<'_>) -> Box<dyn
     match choice {
         TransportChoice::InProcess => Box::new(inproc::InProcess::new(init)),
         TransportChoice::SharedMem => Box::new(shmem::SharedMem::new(init)),
-        TransportChoice::Tcp => Box::new(tcp::Tcp::new(init)),
     }
 }
 
@@ -429,32 +335,5 @@ impl Staging {
     /// Credits `n` received pair frames.
     pub(crate) fn credit_recvs(&self, n: u64) {
         self.frames_received.add(n);
-    }
-}
-
-/// Pins the calling thread to `core` (best effort, Linux only) when
-/// `PARENDI_PIN=1` — the "pinned per-chip" half of the shared-memory
-/// story. Silently a no-op elsewhere or when the syscall fails.
-pub(crate) fn maybe_pin_to_core(core: usize) {
-    if std::env::var("PARENDI_PIN").as_deref() != Ok("1") {
-        return;
-    }
-    #[cfg(target_os = "linux")]
-    {
-        // Hand-declared cpu_set_t (1024 bits) + sched_setaffinity: the
-        // container has no libc crate and the ABI is stable.
-        let mut mask = [0u64; 16];
-        mask[(core / 64) % 16] |= 1u64 << (core % 64);
-        unsafe extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-        }
-        // SAFETY: mask outlives the call; pid 0 = calling thread.
-        unsafe {
-            sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = core;
     }
 }

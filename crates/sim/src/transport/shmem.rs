@@ -259,11 +259,19 @@ impl Drop for ShmMap {
     }
 }
 
-/// The frame-wait deadline, read once per process (the same
-/// `PARENDI_TRANSPORT_TIMEOUT_MS` budget the TCP backend honors).
+/// The frame-wait deadline, read once per process: `Some(duration)`
+/// from `PARENDI_TRANSPORT_TIMEOUT_MS` (default 30 000 ms), or `None`
+/// when the variable is set to `0` (wait forever). Malformed values
+/// fall back to the default.
 fn spin_budget() -> Option<std::time::Duration> {
     static BUDGET: std::sync::OnceLock<Option<std::time::Duration>> = std::sync::OnceLock::new();
-    *BUDGET.get_or_init(super::transport_timeout)
+    *BUDGET.get_or_init(|| {
+        let ms = std::env::var("PARENDI_TRANSPORT_TIMEOUT_MS")
+            .ok()
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .unwrap_or(30_000);
+        (ms != 0).then(|| std::time::Duration::from_millis(ms))
+    })
 }
 
 /// Spins until `seq` reaches `want` (Acquire), yielding periodically;

@@ -13,11 +13,7 @@ use parendi_core::{compile, Compilation, PartitionConfig};
 use parendi_rtl::{ArrayId, Circuit, RegId};
 use parendi_sim::{BspSimulator, GangSimulator, Snapshot, SnapshotError, TransportChoice};
 
-const BACKENDS: [TransportChoice; 3] = [
-    TransportChoice::InProcess,
-    TransportChoice::SharedMem,
-    TransportChoice::Tcp,
-];
+const BACKENDS: [TransportChoice; 2] = [TransportChoice::InProcess, TransportChoice::SharedMem];
 
 fn multi_chip(seed: u64) -> (Circuit, Compilation) {
     let c = random_circuit_io(seed, 10, 50, 2);
@@ -249,7 +245,6 @@ const CHILD_SEED: u64 = 76;
 fn child_backend(name: &str) -> TransportChoice {
     match name {
         "shm" => TransportChoice::SharedMem,
-        "tcp" => TransportChoice::Tcp,
         _ => TransportChoice::InProcess,
     }
 }

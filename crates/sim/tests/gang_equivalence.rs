@@ -96,7 +96,7 @@ fn check_gang(
 }
 
 /// The ISSUE's acceptance matrix: Pre/Post multi-chip distribution ×
-/// 1/2/4/8 threads × 1/4/16 lanes, per-lane stimulus, array writes and
+/// 1/2/4/8 threads × 1/3/4/16 lanes, per-lane stimulus, array writes and
 /// primary-output readback checked in every lane.
 #[test]
 fn gang_matrix_matches_reference_per_lane() {
@@ -107,7 +107,7 @@ fn gang_matrix_matches_reference_per_lane() {
             cfg.tiles_per_chip = 4; // force real multi-chip paths
             cfg.multi_chip = mc;
             for &threads in &[1usize, 2, 4, 8] {
-                for &lanes in &[1usize, 4, 16] {
+                for &lanes in &[1usize, 3, 4, 16] {
                     check_gang(&c, &cfg, threads, lanes, 25, seed);
                 }
             }

@@ -140,25 +140,22 @@ pub enum SpanKind {
     /// The modeled link residual the worker actually waited out (the
     /// part compute did not overlap).
     OverlapResidual = 2,
-    /// A transport writer pushing one frame into its socket.
-    TransportSend = 3,
     /// Blocking until the cycle's inbound frames arrived.
-    TransportRecv = 4,
+    TransportRecv = 3,
     /// Waiting on the phase barrier (either of the two per cycle).
-    BarrierWait = 5,
+    BarrierWait = 4,
     /// A tile program's on-chip exchange phase.
-    Exchange = 6,
+    Exchange = 5,
 }
 
 /// Number of [`SpanKind`] variants.
-pub const SPAN_KINDS: usize = 7;
+pub const SPAN_KINDS: usize = 6;
 
 impl SpanKind {
     pub const ALL: [SpanKind; SPAN_KINDS] = [
         SpanKind::Compute,
         SpanKind::OffchipFlush,
         SpanKind::OverlapResidual,
-        SpanKind::TransportSend,
         SpanKind::TransportRecv,
         SpanKind::BarrierWait,
         SpanKind::Exchange,
@@ -170,7 +167,6 @@ impl SpanKind {
             SpanKind::Compute => "compute",
             SpanKind::OffchipFlush => "offchip_flush",
             SpanKind::OverlapResidual => "overlap_residual",
-            SpanKind::TransportSend => "transport_send",
             SpanKind::TransportRecv => "transport_recv",
             SpanKind::BarrierWait => "barrier_wait",
             SpanKind::Exchange => "exchange",
@@ -182,7 +178,7 @@ impl SpanKind {
         match self {
             SpanKind::Compute => "compute",
             SpanKind::OffchipFlush | SpanKind::OverlapResidual => "offchip",
-            SpanKind::TransportSend | SpanKind::TransportRecv => "transport",
+            SpanKind::TransportRecv => "transport",
             SpanKind::BarrierWait => "sync",
             SpanKind::Exchange => "exchange",
         }
@@ -322,9 +318,8 @@ impl TrackSummary {
 }
 
 /// The per-engine trace collector: owns the epoch, hands out one
-/// [`TraceBuf`] per track (engine workers register at spawn, transport
-/// writer threads at connect), and drains everything into Chrome
-/// trace-event JSON.
+/// [`TraceBuf`] per track (engine workers register at spawn), and
+/// drains everything into Chrome trace-event JSON.
 pub struct TraceSink {
     level: TraceLevel,
     capacity: usize,
@@ -556,13 +551,13 @@ mod tests {
             dur_ns: 2500,
         });
         a.push(ev(SpanKind::BarrierWait, 4000, 1000));
-        let b = sink.register("transport-tcp-0");
-        b.push(ev(SpanKind::TransportSend, 2000, 500));
+        let b = sink.register("engine-worker-1");
+        b.push(ev(SpanKind::TransportRecv, 2000, 500));
         let json = sink.chrome_json();
         assert!(json.starts_with("{\"traceEvents\":[\n"));
         assert!(json.trim_end().ends_with("]}"));
         assert!(json.contains("\"thread_name\",\"args\":{\"name\":\"engine-worker-0\"}"));
-        assert!(json.contains("\"thread_name\",\"args\":{\"name\":\"transport-tcp-0\"}"));
+        assert!(json.contains("\"thread_name\",\"args\":{\"name\":\"engine-worker-1\"}"));
         assert!(
             json.contains("\"name\":\"compute\",\"cat\":\"compute\",\"ts\":1.500,\"dur\":2.500")
         );
