@@ -15,15 +15,7 @@ use parendi_bench::{
 use parendi_core::{compile, PartitionConfig};
 use parendi_designs::Benchmark;
 use parendi_machine::ipu::IpuConfig;
-use parendi_sim::{BspSimulator, GangSimulator, TransportChoice};
-
-/// The off-chip transport backends the measured section sweeps: the
-/// record `engine` tag and the backend. The in-process backend keeps
-/// the plain `bsp` tag so baselines stay comparable across PRs.
-const TRANSPORTS: [(&str, TransportChoice); 2] = [
-    ("bsp", TransportChoice::InProcess),
-    ("bsp-shm", TransportChoice::SharedMem),
-];
+use parendi_sim::{BspSimulator, GangSimulator};
 
 fn main() {
     let ipu = IpuConfig::m2000();
@@ -132,61 +124,30 @@ fn main() {
     // single-lane baseline of the gang comparison below.
     let mut last_point = None;
     let mut records = Vec::new();
-    // Per chip count: (per-backend kcyc/s, transport bytes).
-    let mut transport_rows: Vec<(u32, Vec<f64>, u64)> = Vec::new();
     for &chips in chip_sweep {
         let mut cfg = PartitionConfig::with_tiles(per_chip * chips);
         cfg.tiles_per_chip = per_chip;
         let comp = compile(&circuit, &cfg).expect("host-scale compile");
-        // The same partition under every transport backend. Both
-        // must land on bit-identical outputs (checked below); the
-        // in-process run provides the detailed phase row.
-        let mut ph = None;
-        let mut rates = Vec::new();
-        let mut outputs: Option<Vec<_>> = None;
-        let mut bytes = 0u64;
-        for &(tag, backend) in &TRANSPORTS {
-            let mut sim = BspSimulator::with_transport(&circuit, &comp.partition, threads, backend);
-            sim.set_offchip_spin_per_word(cal.spins_per_word);
-            sim.run(50); // warm the persistent pool
-            let p = sim.run_timed(cycles);
-            let outs: Vec<_> = circuit
-                .outputs
-                .iter()
-                .map(|o| sim.peek_output(&o.name).expect("design output"))
-                .collect();
-            match &outputs {
-                None => outputs = Some(outs),
-                Some(first) => assert_eq!(
-                    first, &outs,
-                    "transport {tag} diverged from {} at {chips} chips",
-                    TRANSPORTS[0].0
-                ),
-            }
-            bytes = sim.offchip_bytes_sent();
-            rates.push(cycles as f64 / p.total_s / 1e3);
-            records.push(
-                BenchRecord::from_phases(
-                    "fig10",
-                    design.name(),
-                    tag,
-                    false,
-                    comp.partition.chips,
-                    comp.partition.tiles_used(),
-                    1,
-                    threads as u32,
-                    cycles,
-                    cycles as f64 / p.total_s,
-                    &p,
-                )
-                .with_metrics(sim.metrics_snapshot()),
-            );
-            if ph.is_none() {
-                ph = Some(p);
-            }
-        }
-        transport_rows.push((chips, rates, bytes));
-        let ph = ph.expect("at least one backend ran");
+        let mut sim = BspSimulator::new(&circuit, &comp.partition, threads);
+        sim.set_offchip_spin_per_word(cal.spins_per_word);
+        sim.run(50); // warm the persistent pool
+        let ph = sim.run_timed(cycles);
+        records.push(
+            BenchRecord::from_phases(
+                "fig10",
+                design.name(),
+                "bsp",
+                false,
+                comp.partition.chips,
+                comp.partition.tiles_used(),
+                1,
+                threads as u32,
+                cycles,
+                cycles as f64 / ph.total_s,
+                &ph,
+            )
+            .with_metrics(sim.metrics_snapshot()),
+        );
         // Shared units: the measured link occupancy converted to model
         // cycles next to the model's throughput term for the same
         // volume (the fixed off-chip latency is the model's separate
@@ -213,19 +174,6 @@ fn main() {
             cycles as f64 / ph.total_s / 1e3,
         );
         last_point = Some((chips, comp, ph));
-    }
-    println!("\nTransport backends (same partition; outputs checked bit-identical per row):");
-    print!("{:>6} {:>12}", "chips", "movedKiB");
-    for &(tag, _) in &TRANSPORTS {
-        print!(" {:>12}", format!("{tag} kc/s"));
-    }
-    println!();
-    for (chips, rates, bytes) in &transport_rows {
-        print!("{:>6} {:>12.2}", chips, *bytes as f64 / 1024.0);
-        for r in rates {
-            print!(" {r:>12.1}");
-        }
-        println!();
     }
     println!("\nShape check: the measured off-chip column is zero at 1 chip and grows");
     println!("with the modeled cross-chip volume once chips > 1; ovlp/cyc is the");

@@ -12,15 +12,7 @@ use parendi_core::{compile, MultiChipStrategy, PartitionConfig};
 use parendi_designs::Benchmark;
 use parendi_machine::ipu::IpuConfig;
 use parendi_sim::timing::{ipu_rate_khz, ipu_timings};
-use parendi_sim::{BspSimulator, TransportChoice};
-
-/// The off-chip transport backends the measured section sweeps (the
-/// record `engine` tag and the backend); the in-process backend keeps
-/// the plain `bsp` tag so baselines stay comparable across PRs.
-const TRANSPORTS: [(&str, TransportChoice); 2] = [
-    ("bsp", TransportChoice::InProcess),
-    ("bsp-shm", TransportChoice::SharedMem),
-];
+use parendi_sim::BspSimulator;
 
 /// Spin iterations per flushed word (the host stand-in for the slower
 /// off-chip fabric), matching fig10's measured section.
@@ -87,8 +79,6 @@ fn main() {
         "strat", "offchipKiB", "comp/cyc", "onchip/cyc", "offchip/cyc", "kcyc/s"
     );
     let mut records = Vec::new();
-    // Per strategy: the kcyc/s triple across transport backends.
-    let mut transport_rows: Vec<(&str, Vec<f64>)> = Vec::new();
     for (label, mc) in [
         ("pre", MultiChipStrategy::Pre),
         ("post", MultiChipStrategy::Post),
@@ -98,34 +88,23 @@ fn main() {
         cfg.tiles_per_chip = per_chip;
         cfg.multi_chip = mc;
         let comp = compile(&circuit, &cfg).expect("host-scale compile");
-        // The same partition under every transport backend; the
-        // in-process run provides the detailed phase row.
-        let mut main_ph = None;
-        let mut rates = Vec::new();
-        for &(tag, backend) in &TRANSPORTS {
-            let mut sim = BspSimulator::with_transport(&circuit, &comp.partition, threads, backend);
-            sim.set_offchip_spin_per_word(OFFCHIP_SPIN_PER_WORD);
-            sim.run(50); // warm the persistent pool
-            let ph = sim.run_timed(cycles);
-            rates.push(cycles as f64 / ph.total_s / 1e3);
-            records.push(BenchRecord::from_phases(
-                "fig17",
-                format!("{}-{label}", design.name()),
-                tag,
-                false,
-                comp.partition.chips,
-                comp.partition.tiles_used(),
-                1,
-                threads as u32,
-                cycles,
-                cycles as f64 / ph.total_s,
-                &ph,
-            ));
-            if main_ph.is_none() {
-                main_ph = Some(ph);
-            }
-        }
-        let ph = main_ph.expect("at least one backend ran");
+        let mut sim = BspSimulator::new(&circuit, &comp.partition, threads);
+        sim.set_offchip_spin_per_word(OFFCHIP_SPIN_PER_WORD);
+        sim.run(50); // warm the persistent pool
+        let ph = sim.run_timed(cycles);
+        records.push(BenchRecord::from_phases(
+            "fig17",
+            format!("{}-{label}", design.name()),
+            "bsp",
+            false,
+            comp.partition.chips,
+            comp.partition.tiles_used(),
+            1,
+            threads as u32,
+            cycles,
+            cycles as f64 / ph.total_s,
+            &ph,
+        ));
         // The off-chip column charges the *full* modeled link occupancy
         // (residual wait + the part the flush/compute overlap hid) so
         // it keeps tracking each strategy's cross-chip volume.
@@ -138,20 +117,6 @@ fn main() {
             (ph.offchip_s + ph.overlap_s) * 1e6 / cycles as f64,
             cycles as f64 / ph.total_s / 1e3,
         );
-        transport_rows.push((label, rates));
-    }
-    println!("\nTransport backends (same partitions, functionally bit-identical):");
-    print!("{:>6}", "strat");
-    for &(tag, _) in &TRANSPORTS {
-        print!(" {:>12}", format!("{tag} kc/s"));
-    }
-    println!();
-    for (label, rates) in &transport_rows {
-        print!("{label:>6}");
-        for r in rates {
-            print!(" {r:>12.1}");
-        }
-        println!();
     }
     match write_bench_json("fig17", &records) {
         Ok(path) => println!("\nwrote {} ({} records)", path.display(), records.len()),

@@ -7,7 +7,7 @@
 //! Flags / knobs: `--quick` (or `PARENDI_QUICK=1`) shrinks the run;
 //! `PARENDI_TRACE=out.json` additionally writes the Perfetto-loadable
 //! Chrome trace the report was computed from (the report itself always
-//! traces in memory); `PARENDI_TRANSPORT` picks the off-chip backend.
+//! traces in memory).
 
 use parendi_bench::{parse_quick_flag, quick, rule, write_bench_json, BenchRecord};
 use parendi_core::{compile, PartitionConfig};
@@ -41,19 +41,22 @@ fn main() {
     let mut cfg = PartitionConfig::with_tiles(per_chip * chips);
     cfg.tiles_per_chip = per_chip;
     let comp = compile(&circuit, &cfg).expect("corpus design compiles");
-    let transport = TransportChoice::from_env();
-    let mut sim =
-        BspSimulator::with_trace(&circuit, &comp.partition, threads, transport, trace_cfg);
+    let mut sim = BspSimulator::with_trace(
+        &circuit,
+        &comp.partition,
+        threads,
+        TransportChoice::InProcess,
+        trace_cfg,
+    );
     sim.run(50); // warm the persistent pool
     let ph = sim.run_timed(cycles);
 
     println!(
-        "perf_report: {} | {} tiles / {} chips | {} threads | transport {} | {} cycles",
+        "perf_report: {} | {} tiles / {} chips | {} threads | {} cycles",
         design.name(),
         comp.partition.tiles_used(),
         comp.partition.chips,
         threads,
-        sim.transport_name(),
         cycles,
     );
     println!(
@@ -107,7 +110,6 @@ fn main() {
         SpanKind::Compute => "compute",
         SpanKind::OffchipFlush => "flush",
         SpanKind::OverlapResidual => "residual",
-        SpanKind::TransportRecv => "recv",
         SpanKind::BarrierWait => "barrier",
         SpanKind::Exchange => "exchange",
     };
@@ -193,5 +195,5 @@ fn main() {
         }
     }
     // The engine writes the PARENDI_TRACE file (if configured) when it
-    // drops, after its transport threads drain.
+    // drops, after its workers join.
 }

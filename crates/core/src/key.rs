@@ -13,9 +13,8 @@
 //! The hash walks only the circuit's flat `Vec`s in their construction
 //! order — never a `HashMap` — so the digest is identical across
 //! processes, runs, and hosts (the property the cross-process test in
-//! `parendi-serve` pins). The serializable text form follows the same
-//! hand-rolled `to_text`/`from_text` idiom as
-//! [`crate::routing::ChipExchangePlan`].
+//! `parendi-serve` pins). The key also serializes to one line of text
+//! ([`CompileKey::to_text`] / [`CompileKey::from_text`]).
 
 use crate::config::{MultiChipStrategy, PartitionConfig, Strategy};
 use parendi_rtl::{Circuit, NodeKind};
@@ -256,9 +255,8 @@ impl CompileKey {
         self.digest
     }
 
-    /// Serializes the key as one line of text (the
-    /// `ChipExchangePlan::to_text` idiom): four fixed-order fields,
-    /// round-tripped by [`from_text`](Self::from_text).
+    /// Serializes the key as one line of text: four fixed-order
+    /// fields, round-tripped by [`from_text`](Self::from_text).
     pub fn to_text(&self) -> String {
         format!(
             "compilekey {:016x} {} {} {:016x}\n",

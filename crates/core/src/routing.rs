@@ -117,181 +117,6 @@ impl ChannelSpec {
     }
 }
 
-/// One off-chip channel's slice of its chip-pair aggregate buffer.
-///
-/// Word counts are single-scenario (`lanes == 1`) words, exactly
-/// [`ChannelSpec::words`]; an executing engine scales the physical
-/// buffers by its lane count and packing, but the slice order and the
-/// relative layout are fixed here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChipPairChannel {
-    /// Index into [`Routing::channels`].
-    pub channel: u32,
-    /// Producer tile (on `from_chip`).
-    pub from_tile: u32,
-    /// Consumer tile (on `to_chip`).
-    pub to_tile: u32,
-    /// Words of the channel's register section.
-    pub reg_words: u32,
-    /// Words of the channel's port-record section.
-    pub port_words: u32,
-    /// First word of this channel's slice inside the pair aggregate.
-    pub word_base: u32,
-}
-
-/// The aggregate buffer of one ordered chip pair: every off-chip
-/// channel between the two chips, concatenated in channel-index order.
-///
-/// This is the unit a transport backend moves per cycle — one frame,
-/// one shared-memory segment, one socket stream per ordered pair — and
-/// the slice layout both endpoint processes must agree on. Pairs are
-/// enumerated in first-appearance order over the `(from, to)`-sorted
-/// channel list, which is exactly the order the execution engine
-/// assigns its per-pair aggregate mailboxes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChipPairPlan {
-    /// Producing chip.
-    pub from_chip: u32,
-    /// Consuming chip.
-    pub to_chip: u32,
-    /// Total aggregate size in single-scenario words.
-    pub words: u32,
-    /// The member channels; `word_base` slices tile `[0, words)` exactly.
-    pub channels: Vec<ChipPairChannel>,
-}
-
-/// One chip's view of the off-chip exchange: every ordered chip pair it
-/// produces into or consumes from. Both endpoint chips carry identical
-/// copies of a shared pair, so two processes can each parse their own
-/// plan and agree on every frame layout without further negotiation.
-///
-/// The plan serializes to a line-oriented text form ([`to_text`] /
-/// [`from_text`]) so it can be handed to another process over a pipe,
-/// a file, or a socket before the data path comes up.
-///
-/// [`to_text`]: ChipExchangePlan::to_text
-/// [`from_text`]: ChipExchangePlan::from_text
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChipExchangePlan {
-    /// The chip this plan describes.
-    pub chip: u32,
-    /// Every pair with `from_chip == chip` or `to_chip == chip`, in
-    /// global pair order.
-    pub pairs: Vec<ChipPairPlan>,
-}
-
-impl ChipExchangePlan {
-    /// Serializes the plan to its text form. Round-trips exactly
-    /// through [`from_text`](Self::from_text).
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        writeln!(s, "chip {}", self.chip).unwrap();
-        for p in &self.pairs {
-            writeln!(s, "pair {} {} words {}", p.from_chip, p.to_chip, p.words).unwrap();
-            for c in &p.channels {
-                writeln!(
-                    s,
-                    "  ch {} from {} to {} reg {} port {} base {}",
-                    c.channel, c.from_tile, c.to_tile, c.reg_words, c.port_words, c.word_base
-                )
-                .unwrap();
-            }
-        }
-        s
-    }
-
-    /// Parses the text form produced by [`to_text`](Self::to_text).
-    /// Validates structure and slice layout (each pair's channel slices
-    /// must tile `[0, words)` in order); any corruption is an `Err`.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut chip: Option<u32> = None;
-        let mut pairs: Vec<ChipPairPlan> = Vec::new();
-        for (ln, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |m: String| format!("line {}: {m}: {raw:?}", ln + 1);
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            let num = |i: usize, what: &str| -> Result<u32, String> {
-                toks.get(i)
-                    .ok_or_else(|| err(format!("missing {what}")))?
-                    .parse::<u32>()
-                    .map_err(|_| err(format!("bad {what}")))
-            };
-            let kw = |i: usize, want: &str| -> Result<(), String> {
-                if toks.get(i) == Some(&want) {
-                    Ok(())
-                } else {
-                    Err(err(format!("expected `{want}`")))
-                }
-            };
-            match toks.first() {
-                Some(&"chip") => {
-                    if chip.is_some() {
-                        return Err(err("duplicate chip record".into()));
-                    }
-                    chip = Some(num(1, "chip id")?);
-                }
-                Some(&"pair") => {
-                    kw(3, "words")?;
-                    pairs.push(ChipPairPlan {
-                        from_chip: num(1, "from chip")?,
-                        to_chip: num(2, "to chip")?,
-                        words: num(4, "word count")?,
-                        channels: Vec::new(),
-                    });
-                }
-                Some(&"ch") => {
-                    kw(2, "from")?;
-                    kw(4, "to")?;
-                    kw(6, "reg")?;
-                    kw(8, "port")?;
-                    kw(10, "base")?;
-                    let c = ChipPairChannel {
-                        channel: num(1, "channel index")?,
-                        from_tile: num(3, "from tile")?,
-                        to_tile: num(5, "to tile")?,
-                        reg_words: num(7, "reg words")?,
-                        port_words: num(9, "port words")?,
-                        word_base: num(11, "word base")?,
-                    };
-                    let p = pairs
-                        .last_mut()
-                        .ok_or_else(|| err("channel before any pair".into()))?;
-                    let fill: u32 = p.channels.iter().map(|c| c.reg_words + c.port_words).sum();
-                    if c.word_base != fill {
-                        return Err(err(format!(
-                            "channel slice at word {} but the aggregate is filled to {fill}",
-                            c.word_base
-                        )));
-                    }
-                    p.channels.push(c);
-                }
-                _ => return Err(err("unknown record".into())),
-            }
-        }
-        let chip = chip.ok_or("missing chip record")?;
-        for p in &pairs {
-            let fill: u32 = p.channels.iter().map(|c| c.reg_words + c.port_words).sum();
-            if fill != p.words {
-                return Err(format!(
-                    "pair {}->{}: channel slices fill {fill} of {} words",
-                    p.from_chip, p.to_chip, p.words
-                ));
-            }
-            if p.from_chip != chip && p.to_chip != chip {
-                return Err(format!(
-                    "pair {}->{} does not involve chip {chip}",
-                    p.from_chip, p.to_chip
-                ));
-            }
-        }
-        Ok(ChipExchangePlan { chip, pairs })
-    }
-}
-
 /// The complete point-to-point exchange of a partition.
 #[derive(Clone, Debug)]
 pub struct Routing {
@@ -506,61 +331,6 @@ impl Routing {
         out
     }
 
-    /// Derives each chip's serializable view of the off-chip exchange:
-    /// one [`ChipExchangePlan`] per chip, with every ordered chip pair
-    /// the chip touches and the per-channel slice layout of each pair's
-    /// aggregate buffer.
-    ///
-    /// Pair enumeration and intra-pair channel order follow the channel
-    /// index order (the list is sorted by `(from, to)`), which is the
-    /// exact order the execution engine assigns its per-pair aggregate
-    /// mailboxes — so a transport that frames `plan.pairs[i]` moves the
-    /// engine's mailbox `onchip + i` and both views agree byte for byte.
-    pub fn chip_exchange_plans(&self) -> Vec<ChipExchangePlan> {
-        let chips = self.tile_chip.iter().copied().max().map_or(0, |m| m + 1);
-        let mut pair_index: HashMap<(u32, u32), usize> = HashMap::new();
-        let mut pairs: Vec<ChipPairPlan> = Vec::new();
-        for (ci, ch) in self.channels.iter().enumerate() {
-            if ch.class != ChannelClass::OffChip {
-                continue;
-            }
-            let key = (
-                self.tile_chip[ch.from as usize],
-                self.tile_chip[ch.to as usize],
-            );
-            let pi = *pair_index.entry(key).or_insert_with(|| {
-                pairs.push(ChipPairPlan {
-                    from_chip: key.0,
-                    to_chip: key.1,
-                    words: 0,
-                    channels: Vec::new(),
-                });
-                pairs.len() - 1
-            });
-            let p = &mut pairs[pi];
-            p.channels.push(ChipPairChannel {
-                channel: ci as u32,
-                from_tile: ch.from,
-                to_tile: ch.to,
-                reg_words: ch.reg_words,
-                port_words: ch.port_words,
-                word_base: p.words,
-            });
-            p.words += ch.words();
-        }
-        let mut plans: Vec<ChipExchangePlan> = (0..chips)
-            .map(|c| ChipExchangePlan {
-                chip: c,
-                pairs: Vec::new(),
-            })
-            .collect();
-        for p in &pairs {
-            plans[p.from_chip as usize].pairs.push(p.clone());
-            plans[p.to_chip as usize].pairs.push(p.clone());
-        }
-        plans
-    }
-
     /// Derives the per-cycle [`ExchangePlan`] cost figures from the
     /// routes. This is the *only* computation of exchange volumes in the
     /// workspace: the engine executes the same hops this sums over.
@@ -731,116 +501,6 @@ mod tests {
                 "tile {tile}"
             );
         }
-    }
-
-    #[test]
-    fn chip_plans_round_trip_and_tile_the_aggregates() {
-        let c = ring(16);
-        let mut cfg = PartitionConfig::with_tiles(8);
-        cfg.tiles_per_chip = 2; // 4 chips
-        let comp = compile(&c, &cfg).unwrap();
-        let routing = &comp.routing;
-        let plans = routing.chip_exchange_plans();
-        assert_eq!(plans.len(), 4);
-        assert!(
-            plans.iter().any(|p| !p.pairs.is_empty()),
-            "a 16-ring over 4 chips must cross chips"
-        );
-        for (ci, plan) in plans.iter().enumerate() {
-            assert_eq!(plan.chip, ci as u32);
-            // Text round-trip is exact.
-            let back = ChipExchangePlan::from_text(&plan.to_text()).unwrap();
-            assert_eq!(&back, plan);
-            for pair in &plan.pairs {
-                assert_ne!(pair.from_chip, pair.to_chip);
-                assert!(pair.from_chip == plan.chip || pair.to_chip == plan.chip);
-                // Channel slices tile the aggregate exactly, in order.
-                let mut fill = 0u32;
-                for ch in &pair.channels {
-                    assert_eq!(ch.word_base, fill, "slice gap or overlap");
-                    assert_eq!(
-                        routing.tile_chip[ch.from_tile as usize], pair.from_chip,
-                        "producer tile on the wrong chip"
-                    );
-                    assert_eq!(routing.tile_chip[ch.to_tile as usize], pair.to_chip);
-                    let spec = &routing.channels[ch.channel as usize];
-                    assert_eq!((spec.from, spec.to), (ch.from_tile, ch.to_tile));
-                    assert_eq!(spec.words(), ch.reg_words + ch.port_words);
-                    fill += ch.reg_words + ch.port_words;
-                }
-                assert_eq!(fill, pair.words, "slices must fill the aggregate");
-            }
-        }
-    }
-
-    #[test]
-    fn endpoint_chips_agree_on_shared_pairs() {
-        let c = ring(16);
-        let mut cfg = PartitionConfig::with_tiles(8);
-        cfg.tiles_per_chip = 4; // 2 chips
-        let comp = compile(&c, &cfg).unwrap();
-        let plans = comp.routing.chip_exchange_plans();
-        let mut shared = 0;
-        for plan in &plans {
-            for pair in &plan.pairs {
-                let other = if pair.from_chip == plan.chip {
-                    pair.to_chip
-                } else {
-                    pair.from_chip
-                };
-                // The peer chip's plan carries an identical copy: two
-                // processes can parse their own plans independently and
-                // agree on every frame layout.
-                let peer = plans[other as usize]
-                    .pairs
-                    .iter()
-                    .find(|p| (p.from_chip, p.to_chip) == (pair.from_chip, pair.to_chip))
-                    .expect("peer chip missing the shared pair");
-                assert_eq!(peer, pair);
-                shared += 1;
-            }
-        }
-        assert!(shared > 0, "two chips of a ring must exchange");
-    }
-
-    #[test]
-    fn chip_plan_text_rejects_corruption() {
-        let good = "chip 1\npair 0 1 words 4\n  ch 2 from 3 to 4 reg 4 port 0 base 0\n";
-        let plan = ChipExchangePlan::from_text(good).unwrap();
-        assert_eq!(plan.chip, 1);
-        assert_eq!(plan.pairs.len(), 1);
-        // Slice layout that does not tile the aggregate.
-        assert!(ChipExchangePlan::from_text(
-            "chip 1\npair 0 1 words 4\n  ch 2 from 3 to 4 reg 4 port 0 base 1\n"
-        )
-        .unwrap_err()
-        .contains("filled"));
-        // Undersized aggregate.
-        assert!(ChipExchangePlan::from_text(
-            "chip 1\npair 0 1 words 9\n  ch 2 from 3 to 4 reg 4 port 0 base 0\n"
-        )
-        .unwrap_err()
-        .contains("fill 4 of 9"));
-        // A pair the chip does not touch.
-        assert!(ChipExchangePlan::from_text("chip 7\npair 0 1 words 0\n")
-            .unwrap_err()
-            .contains("does not involve chip 7"));
-        // Structural salad.
-        assert!(ChipExchangePlan::from_text("pair 0 1 words 0\n").is_err());
-        assert!(
-            ChipExchangePlan::from_text("chip 1\n  ch 0 from 0 to 1 reg 1 port 0 base 0\n")
-                .unwrap_err()
-                .contains("before any pair")
-        );
-        assert!(ChipExchangePlan::from_text("chip x\n")
-            .unwrap_err()
-            .contains("bad chip id"));
-        assert!(ChipExchangePlan::from_text("bogus\n")
-            .unwrap_err()
-            .contains("unknown record"));
-        assert!(ChipExchangePlan::from_text("")
-            .unwrap_err()
-            .contains("missing chip"));
     }
 
     #[test]

@@ -115,9 +115,13 @@ impl Bits {
     ///
     /// # Errors
     ///
-    /// Returns an error message if a character is not a hex digit or the
-    /// value does not fit in `width` bits.
+    /// Returns an error message if `width` is zero or exceeds
+    /// [`MAX_WIDTH`], a character is not a hex digit, or the value does
+    /// not fit in `width` bits.
     pub fn from_hex(width: u32, s: &str) -> Result<Self, String> {
+        if !(1..=MAX_WIDTH).contains(&width) {
+            return Err(format!("invalid width {width}"));
+        }
         let s = s
             .strip_prefix("0x")
             .or_else(|| s.strip_prefix("0X"))
@@ -715,6 +719,15 @@ mod tests {
         assert!(Bits::from_hex(8, "zz").is_err());
         let wide = Bits::from_hex(130, "3ffffffffffffffffffffffffffffffff").unwrap();
         assert_eq!(wide, Bits::ones(130));
+    }
+
+    #[test]
+    fn hex_parsing_rejects_invalid_widths() {
+        for width in [0, MAX_WIDTH + 1, u32::MAX] {
+            let err = Bits::from_hex(width, "0").unwrap_err();
+            assert!(err.contains("invalid width"), "{width}: {err}");
+        }
+        assert_eq!(Bits::from_hex(MAX_WIDTH, "1").unwrap().width(), MAX_WIDTH);
     }
 
     #[test]

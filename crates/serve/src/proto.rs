@@ -170,12 +170,21 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u32, Vec<u8>), ProtoError> {
         }
     }
     let (kind, len) = decode_header(&header).map_err(ProtoError::Corrupt)?;
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)
+    // The buffer grows with the bytes that arrive, so a length field
+    // alone never reserves up to MAX_PAYLOAD.
+    let mut payload = Vec::new();
+    r.take(len as u64)
+        .read_to_end(&mut payload)
         .map_err(|source| ProtoError::Io {
             context: "read frame payload",
             source,
         })?;
+    if payload.len() < len as usize {
+        return Err(ProtoError::Corrupt(format!(
+            "eof inside frame payload ({} of {len} bytes)",
+            payload.len()
+        )));
+    }
     Ok((kind, payload))
 }
 
@@ -562,6 +571,20 @@ mod tests {
     }
 
     #[test]
+    fn short_payload_is_corrupt() {
+        for claimed in [100u32, MAX_PAYLOAD as u32] {
+            let mut wire = encode_header(kind::SUBMIT, claimed).to_vec();
+            wire.extend_from_slice(&[b'x'; 10]);
+            match read_frame(&mut &wire[..]) {
+                Err(ProtoError::Corrupt(m)) => {
+                    assert!(m.contains(&format!("10 of {claimed}")), "{m}")
+                }
+                other => panic!("claimed {claimed}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn batch_round_trips() {
         let mut b = ScenarioBatch::new("sr3", 16);
         b.packed = PackedChoice::Off;
@@ -614,5 +637,18 @@ mod tests {
         assert_eq!(BatchSummary::from_text(&s.to_text()), Ok(s));
         assert!(BatchSummary::from_text("key zz\n").is_err());
         assert!(LaneResult::from_text("out q 4 0\n").is_err());
+    }
+
+    /// Widths `Bits` cannot hold are parse errors, not panics.
+    #[test]
+    fn out_of_range_widths_are_errors() {
+        for width in [0u64, u32::MAX as u64] {
+            let batch = format!("design sr3\ntiles 4\nscenario 5\nev 0 in0 {width} 0\nend\n");
+            let err = ScenarioBatch::from_text(&batch).unwrap_err();
+            assert!(err.contains("invalid width"), "{width}: {err}");
+            let lane = format!("lane 0\nout q {width} 0\n");
+            let err = LaneResult::from_text(&lane).unwrap_err();
+            assert!(err.contains("invalid width"), "{width}: {err}");
+        }
     }
 }

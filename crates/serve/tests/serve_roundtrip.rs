@@ -390,6 +390,42 @@ fn errors_are_loud_and_nonfatal() {
     stop(handle, &path);
 }
 
+/// A SUBMIT whose event width `Bits` cannot hold answers `ERR` instead
+/// of killing the connection thread, and the same stream then serves a
+/// good batch.
+#[test]
+fn bad_widths_answer_err_and_keep_serving() {
+    use parendi_serve::proto::{kind, read_frame, write_frame};
+    let (handle, path) = start("widths");
+    let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    for width in [0u64, u32::MAX as u64] {
+        let bad = format!("design sr2\ntiles 8\nscenario 5\nev 0 in0 {width} 0\nend\n");
+        write_frame(&mut stream, kind::SUBMIT, bad.as_bytes()).expect("send");
+        let (k, msg) = read_frame(&mut stream).expect("an answer, not EOF");
+        assert_eq!(
+            k,
+            kind::ERR,
+            "width {width}: {}",
+            String::from_utf8_lossy(&msg)
+        );
+    }
+    let mut good = ScenarioBatch::new("sr2", 8);
+    good.packed = PackedChoice::Off;
+    good.scenario(5);
+    write_frame(&mut stream, kind::SUBMIT, good.to_text().as_bytes()).expect("send");
+    let mut lanes = 0;
+    loop {
+        match read_frame(&mut stream).expect("good batch answered") {
+            (kind::LANE, _) => lanes += 1,
+            (kind::DONE, _) => break,
+            (k, p) => panic!("unexpected frame {k}: {}", String::from_utf8_lossy(&p)),
+        }
+    }
+    assert_eq!(lanes, 1);
+    drop(stream);
+    stop(handle, &path);
+}
+
 /// Shutdown is clean: the daemon confirms, the accept loop exits, the
 /// socket file is removed, and later connects fail.
 #[test]

@@ -146,6 +146,17 @@ impl BspPhases {
     }
 }
 
+/// How cross-chip traffic moves: every chip of a partition shares the
+/// engine's address space, so producing tiles write straight into the
+/// consumer-side chip-pair mailbox. The one variant is the parameter of
+/// the `with_trace` constructors.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum TransportChoice {
+    /// Direct writes into the consumer mailbox.
+    #[default]
+    InProcess,
+}
+
 /// A parallel BSP simulator for a compiled partition: one scenario,
 /// many tiles. A thin facade over the unified lane-strided core at
 /// `lanes == 1`.
@@ -163,43 +174,23 @@ impl<'c> BspSimulator<'c> {
     ///
     /// Panics if `threads` is zero.
     pub fn new(circuit: &'c Circuit, partition: &Partition, threads: usize) -> Self {
-        Self::with_transport(
-            circuit,
-            partition,
-            threads,
-            crate::transport::TransportChoice::from_env(),
-        )
-    }
-
-    /// [`BspSimulator::new`] with an explicit off-chip transport
-    /// backend (the plain constructor reads `PARENDI_TRANSPORT`). All
-    /// backends are bit-exact; they differ in which memory-domain
-    /// boundary the per-chip-pair aggregates cross and in the measured
-    /// cost reported in [`BspPhases::offchip_s`].
-    pub fn with_transport(
-        circuit: &'c Circuit,
-        partition: &Partition,
-        threads: usize,
-        transport: crate::transport::TransportChoice,
-    ) -> Self {
         // A single-lane engine is always lane-major: the layouts
         // coincide at one lane and the scalar kernels are optimal.
         BspSimulator {
-            core: EngineCore::with_transport(
+            core: EngineCore::new(
                 circuit,
                 partition,
                 threads,
                 1,
                 false,
                 crate::engine::LayoutChoice::LaneMajor,
-                transport,
             ),
         }
     }
 
-    /// [`BspSimulator::with_transport`] with an explicit event-trace
-    /// configuration (the other constructors read `PARENDI_TRACE` —
-    /// see [`TraceConfig::from_env`](parendi_telemetry::TraceConfig)).
+    /// [`BspSimulator::new`] with an explicit event-trace configuration
+    /// (the plain constructor reads `PARENDI_TRACE` — see
+    /// [`TraceConfig::from_env`](parendi_telemetry::TraceConfig)).
     /// Tracing never changes functional results; with
     /// [`TraceConfig::off`](parendi_telemetry::TraceConfig::off) the
     /// hot loop's only residue is a branch on a `None`.
@@ -207,7 +198,7 @@ impl<'c> BspSimulator<'c> {
         circuit: &'c Circuit,
         partition: &Partition,
         threads: usize,
-        transport: crate::transport::TransportChoice,
+        _transport: TransportChoice,
         trace: parendi_telemetry::TraceConfig,
     ) -> Self {
         BspSimulator {
@@ -218,20 +209,13 @@ impl<'c> BspSimulator<'c> {
                 1,
                 false,
                 crate::engine::LayoutChoice::LaneMajor,
-                transport,
                 trace,
             ),
         }
     }
 
-    /// Short name of the off-chip transport backend in use.
-    pub fn transport_name(&self) -> &'static str {
-        self.core.transport_name()
-    }
-
-    /// Total bytes the off-chip transport has carried so far (whole
-    /// per-chip-pair aggregates per completed cycle — comparable
-    /// across backends; see [`crate::transport`]).
+    /// Total bytes that crossed a chip boundary so far: one whole
+    /// per-chip-pair aggregate mailbox per pair per completed cycle.
     pub fn offchip_bytes_sent(&self) -> u64 {
         self.core.offchip_bytes_sent()
     }
@@ -382,10 +366,9 @@ impl<'c> BspSimulator<'c> {
 
     /// Restores state captured by [`snapshot`](Self::snapshot) — on
     /// this simulator or a freshly built one over the same circuit and
-    /// partition (any transport backend, any thread count). The next
-    /// run continues bit-identically to a run that was never
-    /// interrupted. Fails (leaving the engine untouched) when the
-    /// snapshot does not fit.
+    /// partition (any thread count). The next run continues
+    /// bit-identically to a run that was never interrupted. Fails
+    /// (leaving the engine untouched) when the snapshot does not fit.
     pub fn restore(
         &mut self,
         snap: &crate::checkpoint::Snapshot,

@@ -8,9 +8,8 @@
 //! lane active/retired bookkeeping — so that restoring it into a
 //! freshly constructed engine (same circuit, partition, lane shape and
 //! layout) continues bit-identically to a run that was never
-//! interrupted. The transport backend does *not* need to match: the
-//! fabric contents are backend-independent, and staged backends re-sync
-//! their staging mirrors on restore.
+//! interrupted. The worker thread count does *not* need to match: it
+//! is not part of the snapshotted state.
 //!
 //! # On-disk format
 //!

@@ -19,9 +19,16 @@
 //!   that the one hot loop executes. Set `PARENDI_CODE_STATS=1` to dump
 //!   the opcode/width and adjacent-pair histograms of a compile — the
 //!   data fusion and SIMD-coverage decisions are made from;
+//! * the lock-free exchange fabric ([`Mailbox`]) and the hybrid
+//!   spin/park, tree-combining [`PhaseBarrier`];
+//! * the chip-major [`worker_groups`] fold of tiles onto host threads;
+//! * the scalar/slice step evaluators: [`eval_op`] (the multi-word
+//!   fallback) and the `nw == 1` single-word kernels ([`un1`],
+//!   [`bin1`], [`sext1`]) the fused opcodes dispatch into — one source
+//!   of truth for semantics at every width.
 //!
 //! Every `PARENDI_*` environment knob the engine (and the bench bins)
-//! reads — transport, SIMD, layout, spin budget, tracing, and the rest
+//! reads — SIMD, spin budget, tracing, checkpointing, and the rest
 //! — is cataloged with defaults and interactions in `docs/ENVVARS.md`
 //! at the repository root.
 //!
@@ -79,31 +86,19 @@
 //!   [`crate::exec`]) gather/scatter bits where a strided value feeds
 //!   the packed domain or vice versa. Multi-bit nets and non-bitwise
 //!   ops stay lane-strided, exactly as before.
-//! * the lock-free exchange fabric ([`Mailbox`]) and the hybrid
-//!   spin/park, tree-combining [`PhaseBarrier`];
-//! * the chip-major [`worker_groups`] fold of tiles onto host threads;
 //!
-//! # The off-chip transport seam
+//! # Off-chip aggregates
 //!
-//! On-chip mailboxes are always written directly — they never leave the
-//! process. The **per-chip-pair aggregate mailboxes** (`Compiled`
-//! appends them after the on-chip boxes; [`Compiled::offchip_pairs`]
-//! names their `(from_chip, to_chip)` order) are the unit that crosses
-//! chips on the real machine, and the engine moves them through a
-//! pluggable [`crate::transport::ChipTransport`]: the default
-//! in-process backend keeps the historical direct-write path bit for
-//! bit, while the shared-memory backend stages each pair's
-//! aggregate and carries it across a process boundary per cycle
-//! under the same double-buffered epoch discipline. The core's flush
-//! path writes whatever mailbox slice the backend exposes and notifies
-//! it per flushed tile; the time a backend spends completing receives
-//! lands in the same off-chip phase column, so backends are directly
-//! comparable. Select with `PARENDI_TRANSPORT` or the `with_transport`
-//! constructors.
-//! * the scalar/slice step evaluators: [`eval_op`] (the multi-word
-//!   fallback) and the `nw == 1` single-word kernels ([`un1`],
-//!   [`bin1`], [`sext1`]) the fused opcodes dispatch into — one source
-//!   of truth for semantics at every width.
+//! On-chip mailboxes serve one producer→consumer tile pair each.
+//! Cross-chip channels are aggregated into **one mailbox per ordered
+//! chip pair**, appended after the on-chip boxes — the unit that
+//! crosses chips on the real machine. Every chip shares the engine's
+//! address space, so producing tiles flush their segments straight
+//! into the consumer-side aggregate under the same double-buffered
+//! epoch discipline as on-chip traffic. The layout is fixed at
+//! compile time, so the off-chip byte and frame counters are credited
+//! once per run from it (cycles × aggregate words × 8, cycles × pairs)
+//! rather than per cycle.
 
 use crate::exec::Code;
 use crate::simd::VecIsa;
@@ -693,12 +688,9 @@ pub(crate) struct Compiled {
     /// Strided single-lane words of each mailbox (the per-lane stride
     /// of its lane-major section; packed slots live after it).
     pub mail_words: Vec<u32>,
-    /// How many leading `channels` serve on-chip tile pairs.
+    /// How many leading `channels` serve on-chip tile pairs; the rest
+    /// are the per-ordered-chip-pair off-chip aggregates.
     pub onchip_mailboxes: usize,
-    /// `(from_chip, to_chip)` of each off-chip aggregate mailbox, in
-    /// mailbox order (`channels[onchip_mailboxes + i]` carries
-    /// `offchip_pairs[i]`) — the unit the transport backends move.
-    pub offchip_pairs: Vec<(u32, u32)>,
     pub tile_chip: Vec<u32>,
     /// Words per packed 1-bit net block: `ceil(lanes / 64)` in packed
     /// mode, 0 otherwise.
@@ -976,7 +968,6 @@ impl Compiled {
         let mut pair_index: HashMap<(u32, u32), usize> = HashMap::new();
         let mut pair_words: Vec<u32> = Vec::new();
         let mut pair_packed: Vec<u32> = Vec::new();
-        let mut offchip_pairs: Vec<(u32, u32)> = Vec::new();
         for (ci, ch) in routing.channels.iter().enumerate() {
             if ch.class == ChannelClass::OffChip {
                 let pair = (
@@ -986,7 +977,6 @@ impl Compiled {
                 let pi = *pair_index.entry(pair).or_insert_with(|| {
                     pair_words.push(0);
                     pair_packed.push(0);
-                    offchip_pairs.push(pair);
                     pair_words.len() - 1
                 });
                 chan_map[ci] = (
@@ -1151,7 +1141,6 @@ impl Compiled {
             channels,
             mail_words,
             onchip_mailboxes,
-            offchip_pairs,
             tile_chip: routing.tile_chip,
             pw,
             word_major,

@@ -2497,12 +2497,12 @@ struct CoreShared {
     programs: Vec<Program>,
     tiles: Vec<Mutex<LaneTile>>,
     channels: Vec<Mailbox>,
-    /// The off-chip fabric: carries the per-chip-pair aggregate
-    /// mailboxes across the chosen memory-domain boundary (in-process
-    /// direct writes by default — see [`crate::transport`]).
-    transport: Box<dyn crate::transport::ChipTransport>,
-    /// Number of leading on-chip mailboxes in `channels`.
+    /// Number of leading on-chip mailboxes in `channels`; the rest are
+    /// the per-ordered-chip-pair off-chip aggregates.
     onchip: usize,
+    /// Bytes of one parity buffer summed over every off-chip aggregate:
+    /// what crosses chip boundaries per cycle.
+    offchip_bytes_per_cycle: u64,
     /// Per-lane words of each mailbox (the lane stride of its buffers).
     mail_words: Vec<u32>,
     /// `lanes × input_stride` words, read-only during runs.
@@ -2567,6 +2567,8 @@ struct EngineCounters {
     lanes_active: Counter,
     lanes_retired: Counter,
     trace_events_dropped: Counter,
+    offchip_bytes: Counter,
+    frames_sent: Counter,
 }
 
 /// Per-run accumulator of one worker's phase nanoseconds.
@@ -2680,30 +2682,6 @@ impl<'c> EngineCore<'c> {
         packed: bool,
         layout: LayoutChoice,
     ) -> Self {
-        Self::with_transport(
-            circuit,
-            partition,
-            threads,
-            lanes,
-            packed,
-            layout,
-            crate::transport::TransportChoice::from_env(),
-        )
-    }
-
-    /// [`EngineCore::new`] with an explicit off-chip transport backend
-    /// (the plain constructor reads `PARENDI_TRANSPORT`). Tracing
-    /// still follows `PARENDI_TRACE` (see [`TraceConfig::from_env`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_transport(
-        circuit: &'c Circuit,
-        partition: &Partition,
-        threads: usize,
-        lanes: usize,
-        packed: bool,
-        layout: LayoutChoice,
-        transport: crate::transport::TransportChoice,
-    ) -> Self {
         Self::with_trace(
             circuit,
             partition,
@@ -2711,17 +2689,15 @@ impl<'c> EngineCore<'c> {
             lanes,
             packed,
             layout,
-            transport,
             TraceConfig::from_env(),
         )
     }
 
-    /// [`EngineCore::with_transport`] with an explicit [`TraceConfig`]
+    /// [`EngineCore::new`] with an explicit [`TraceConfig`]
     /// (the plain constructors read `PARENDI_TRACE`). With tracing on,
     /// every worker registers a track on the engine's [`TraceSink`];
     /// the trace is written to the configured path when the engine
     /// drops and can be drained at any point in between.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn with_trace(
         circuit: &'c Circuit,
         partition: &Partition,
@@ -2729,7 +2705,6 @@ impl<'c> EngineCore<'c> {
         lanes: usize,
         packed: bool,
         layout: LayoutChoice,
-        transport: crate::transport::TransportChoice,
         trace_cfg: TraceConfig,
     ) -> Self {
         assert!(lanes >= 1, "need at least one lane");
@@ -2738,7 +2713,6 @@ impl<'c> EngineCore<'c> {
             partition,
             threads,
             Compiled::new(circuit, partition, lanes, packed, layout),
-            transport,
             trace_cfg,
         )
     }
@@ -2746,7 +2720,7 @@ impl<'c> EngineCore<'c> {
     /// Builds an engine around an **already-compiled** artifact — the
     /// compile-cache path: everything [`with_trace`](Self::with_trace)
     /// does *after* `Compiled::new` (lane-strided state init, worker
-    /// pool, transport, telemetry), with the expensive compile skipped.
+    /// pool, telemetry), with the expensive compile skipped.
     /// `compiled` must have been produced from this same `circuit` and
     /// `partition` (the cache keys on a content hash of both); the lane
     /// shape comes from the artifact itself.
@@ -2755,7 +2729,6 @@ impl<'c> EngineCore<'c> {
         partition: &Partition,
         threads: usize,
         compiled: Compiled,
-        transport: crate::transport::TransportChoice,
         trace_cfg: TraceConfig,
     ) -> Self {
         assert!(threads >= 1, "need at least one thread");
@@ -2781,7 +2754,6 @@ impl<'c> EngineCore<'c> {
             pw,
             word_major,
             isa,
-            offchip_pairs,
         } = compiled;
 
         // The one indexing rule every strided init below goes through:
@@ -2879,42 +2851,6 @@ impl<'c> EngineCore<'c> {
         let tile_count = programs.len();
         let groups = worker_groups(&tile_chip, worker_count);
 
-        // The off-chip fabric: which pairs each tile produces into,
-        // and which worker performs each pair's receive (the first
-        // worker owning a tile of the consumer chip; the inline path
-        // owns everything).
-        let produces: Vec<Vec<u32>> = programs
-            .iter()
-            .map(|prog| {
-                let mut ps: Vec<u32> = prog
-                    .offchip_sends
-                    .iter()
-                    .map(|s| s.ch)
-                    .chain(prog.offchip_packed_sends.iter().map(|s| s.ch))
-                    .chain(
-                        prog.offchip_port_sends
-                            .iter()
-                            .flat_map(|s| s.dests.iter().map(|&(ch, _)| ch)),
-                    )
-                    .map(|ch| ch - onchip_mailboxes as u32)
-                    .collect();
-                ps.sort_unstable();
-                ps.dedup();
-                ps
-            })
-            .collect();
-        let mut recv_of: Vec<Vec<u32>> = vec![Vec::new(); worker_count.max(1)];
-        for (pi, &(_, to)) in offchip_pairs.iter().enumerate() {
-            let w = if worker_count == 0 {
-                0
-            } else {
-                groups
-                    .iter()
-                    .position(|g| g.iter().any(|&t| tile_chip[t] == to))
-                    .expect("consumer chip owns at least one tile")
-            };
-            recv_of[w].push(pi as u32);
-        }
         // Telemetry: the registry with its full key set (so every
         // snapshot carries every metric, credited or not), the trace
         // sink, and one pre-registered track per worker slot.
@@ -2927,9 +2863,10 @@ impl<'c> EngineCore<'c> {
             lanes_active: metrics.counter("lanes_active"),
             lanes_retired: metrics.counter("lanes_retired"),
             trace_events_dropped: metrics.counter("trace_events_dropped"),
+            offchip_bytes: metrics.counter("offchip_bytes_sent"),
+            frames_sent: metrics.counter("frames_sent"),
         };
         ctrs.lanes_active.set(lanes as u64);
-        metrics.counter("offchip_bytes_sent");
         let mut ops_per_cycle = (0u64, 0u64);
         let mut ops_prelude = (0u64, 0u64);
         for prog in &programs {
@@ -2948,25 +2885,17 @@ impl<'c> EngineCore<'c> {
             })
             .unwrap_or_default();
 
-        let transport = crate::transport::build(
-            transport,
-            crate::transport::TransportInit {
-                pairs: &offchip_pairs,
-                channels: &channels,
-                onchip: onchip_mailboxes,
-                produces,
-                recv_of,
-                frames_sent: metrics.counter("frames_sent"),
-                frames_received: metrics.counter("frames_received"),
-            },
-        );
+        let offchip_bytes_per_cycle = channels[onchip_mailboxes..]
+            .iter()
+            .map(|m| m.words() as u64 * 8)
+            .sum();
 
         let shared = Arc::new(CoreShared {
             programs,
             tiles,
             channels,
-            transport,
             onchip: onchip_mailboxes,
+            offchip_bytes_per_cycle,
             mail_words,
             inputs: RwLock::new(vec![0u64; input_total_words]),
             input_stride: input_words as usize,
@@ -3069,29 +2998,20 @@ impl<'c> EngineCore<'c> {
         self.shared.offchip_spin.store(spins, Ordering::Relaxed);
     }
 
-    /// Total bytes the off-chip transport has carried so far (whole
-    /// pair aggregates per completed cycle — comparable across
-    /// backends; see [`crate::transport`]).
+    /// Total bytes that crossed a chip boundary so far (one whole pair
+    /// aggregate per pair per completed cycle).
     pub(crate) fn offchip_bytes_sent(&self) -> u64 {
-        self.shared.transport.bytes_sent()
-    }
-
-    /// Short name of the off-chip transport backend in use.
-    pub(crate) fn transport_name(&self) -> &'static str {
-        self.shared.transport.name()
+        self.shared.ctrs.offchip_bytes.get()
     }
 
     /// Point-in-time copy of every engine metric. Gauges
-    /// (`offchip_bytes_sent`, `lanes_active`/`lanes_retired`,
-    /// `trace_events_dropped`) are refreshed here; counters
-    /// (`cycles_run`, `ops_strided`/`ops_packed`,
-    /// `simd_kernel_dispatches`, `frames_sent`/`frames_received`,
-    /// `barrier_spin_waits`/`barrier_park_waits`) accumulate as the
-    /// engine runs.
+    /// (`lanes_active`/`lanes_retired`, `trace_events_dropped`) are
+    /// refreshed here; counters (`cycles_run`, `ops_strided`/
+    /// `ops_packed`, `simd_kernel_dispatches`, `offchip_bytes_sent`,
+    /// `frames_sent`, `barrier_spin_waits`/`barrier_park_waits`)
+    /// accumulate as the engine runs.
     pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         let sh = &self.shared;
-        sh.metrics
-            .set("offchip_bytes_sent", sh.transport.bytes_sent());
         let active = self.active_lanes() as u64;
         sh.ctrs.lanes_active.set(active);
         sh.ctrs.lanes_retired.set(sh.lanes as u64 - active);
@@ -3227,11 +3147,10 @@ impl<'c> EngineCore<'c> {
 
     /// Restores state captured by [`snapshot`](Self::snapshot) — on
     /// this engine or any engine compiled from the same circuit,
-    /// partition, and lane shape, on **any** transport backend and
-    /// thread count. The next run continues bit-identically to a run
-    /// that was never interrupted. Fails with
-    /// [`SnapshotError::ShapeMismatch`] (leaving the engine untouched)
-    /// when the snapshot does not fit.
+    /// partition, and lane shape, at **any** thread count. The next run
+    /// continues bit-identically to a run that was never interrupted.
+    /// Fails with [`SnapshotError::ShapeMismatch`] (leaving the engine
+    /// untouched) when the snapshot does not fit.
     pub(crate) fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         snap.fingerprint.matches(&self.fingerprint())?;
         let sh = &self.shared;
@@ -3262,10 +3181,6 @@ impl<'c> EngineCore<'c> {
         sh.ctrs
             .lanes_retired
             .set(sh.lanes as u64 - snap.active.len() as u64);
-        // Staged transports mirror the consumer fabric: re-sync their
-        // staging copies (and any cross-process epoch sequencing) to
-        // the state just written.
-        sh.transport.resync(&sh.channels, sh.onchip, self.cycle);
         Ok(())
     }
 
@@ -3353,7 +3268,6 @@ impl<'c> EngineCore<'c> {
         self.retired_at = vec![None; lanes];
         sh.ctrs.lanes_active.set(lanes as u64);
         sh.ctrs.lanes_retired.set(0);
-        sh.transport.resync(&sh.channels, sh.onchip, self.cycle);
     }
 
     /// Periodic auto-checkpointing: write a snapshot to `path` every
@@ -3825,10 +3739,16 @@ impl<'c> EngineCore<'c> {
             }
         }
         self.cycle += cycles;
-        // Run-level metric credits: static op mix × cycles (prelude
-        // once per run), all off the hot path.
+        // Run-level metric credits: static op mix and off-chip layout
+        // × cycles (prelude once per run), all off the hot path.
         let sh = &self.shared;
         sh.ctrs.cycles.add(cycles);
+        sh.ctrs
+            .offchip_bytes
+            .add(sh.offchip_bytes_per_cycle * cycles);
+        sh.ctrs
+            .frames_sent
+            .add((sh.channels.len() - sh.onchip) as u64 * cycles);
         let strided = sh.ops_per_cycle.0 * cycles + sh.ops_prelude.0;
         let packed = sh.ops_per_cycle.1 * cycles + sh.ops_prelude.1;
         sh.ctrs.ops_strided.add(strided);
@@ -4021,10 +3941,6 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
     // spans are fed from the same timestamps.
     let instr = timed || tracer.is_some();
     let any_off = mine.iter().any(|&pi| shared.programs[pi].has_offchip());
-    // Where producing tiles flush off-chip segments: the consumer
-    // fabric itself (in-process), or the transport's staging copy.
-    let flush_boxes: &[Mailbox] = shared.transport.staging().unwrap_or(&shared.channels);
-    let any_pairs = shared.onchip < shared.channels.len();
     // Modeled link nanoseconds per flushed word (the spin knob converted
     // into wall time so the transfer can be scheduled asynchronously).
     // Strided words cross once per active lane; packed words already
@@ -4109,19 +4025,17 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
                 // Eager flush: the epoch-c+1 aggregate segments have no
                 // reader until after barrier 1, so copying now is legal
                 // and lets the modeled transfer overlap the remaining
-                // tiles' compute. Staged transports redirect the flush
-                // into their producer-side staging fabric.
+                // tiles' compute.
                 offchip_flush::<L, Y>(
                     prog,
                     guard,
-                    flush_boxes,
+                    &shared.channels,
                     &shared.mail_words,
                     lanes,
                     c,
                     pw,
                     mask,
                 );
-                shared.transport.tile_flushed(pi, ((c & 1) ^ 1) as usize, c);
                 if spin_ns > 0.0 {
                     let words = prog.offchip_words as f64 * lanes.count() as f64
                         + prog.offchip_packed_words as f64;
@@ -4167,29 +4081,6 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
                 }
             } else if timed {
                 acc.overlap += link_total_ns;
-            }
-        }
-        // Staged transports: land this worker's inbound pair frames in
-        // the consumer mailboxes before barrier 1. The wait for remote
-        // producers is real measured off-chip latency, so it joins the
-        // link residual in the offchip_s column (a no-op in-process).
-        if any_pairs {
-            shared.transport.complete_recvs(
-                who,
-                ((c & 1) ^ 1) as usize,
-                c,
-                &shared.channels,
-                shared.onchip,
-            );
-            if let Some(m) = mark {
-                let now = Instant::now();
-                if timed {
-                    acc.off += now.duration_since(m).as_nanos() as u64;
-                }
-                if let Some(tr) = tracer {
-                    tr.seg(SpanKind::TransportRecv, NO_TILE, c, m, now);
-                }
-                mark = Some(now);
             }
         }
         // exchange_s starts *before* barrier 1 so the straggler wait —

@@ -99,38 +99,10 @@ impl<'c> GangSimulator<'c> {
         }
     }
 
-    /// Like [`new`](Self::new), but with an explicit off-chip transport
-    /// backend (the plain constructors read `PARENDI_TRANSPORT`). All
-    /// backends are bit-exact in every lane; they differ in which
-    /// memory-domain boundary the per-chip-pair aggregates cross.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` or `lanes` is zero.
-    pub fn with_transport(
-        circuit: &'c Circuit,
-        partition: &Partition,
-        threads: usize,
-        lanes: usize,
-        packed: bool,
-        transport: crate::transport::TransportChoice,
-    ) -> Self {
-        GangSimulator {
-            core: EngineCore::with_transport(
-                circuit,
-                partition,
-                threads,
-                lanes,
-                packed,
-                LayoutChoice::Auto,
-                transport,
-            ),
-        }
-    }
-
-    /// [`GangSimulator::with_transport`] with an explicit event-trace
-    /// configuration (the other constructors read `PARENDI_TRACE` —
-    /// see [`TraceConfig::from_env`](parendi_telemetry::TraceConfig)).
+    /// A gang of `lanes` (`packed` bit-packs 1-bit state across them)
+    /// with an explicit event-trace configuration (the other
+    /// constructors read `PARENDI_TRACE` — see
+    /// [`TraceConfig::from_env`](parendi_telemetry::TraceConfig)).
     /// Tracing never changes functional results in any lane.
     ///
     /// # Panics
@@ -143,7 +115,7 @@ impl<'c> GangSimulator<'c> {
         threads: usize,
         lanes: usize,
         packed: bool,
-        transport: crate::transport::TransportChoice,
+        _transport: crate::bsp::TransportChoice,
         trace: parendi_telemetry::TraceConfig,
     ) -> Self {
         GangSimulator {
@@ -154,7 +126,6 @@ impl<'c> GangSimulator<'c> {
                 lanes,
                 packed,
                 LayoutChoice::Auto,
-                transport,
                 trace,
             ),
         }
@@ -168,8 +139,7 @@ impl<'c> GangSimulator<'c> {
     /// cache guarantees this by keying entries on a content hash of
     /// both); the lane shape comes from the artifact. Results are
     /// bit-identical to a direct [`new`](Self::new) /
-    /// [`new_packed`](Self::new_packed) at the same shape. The
-    /// off-chip transport follows `PARENDI_TRANSPORT` and tracing
+    /// [`new_packed`](Self::new_packed) at the same shape. Tracing
     /// follows `PARENDI_TRACE`, exactly like the plain constructors.
     ///
     /// # Panics
@@ -189,20 +159,13 @@ impl<'c> GangSimulator<'c> {
                 partition,
                 threads,
                 pre.compiled.clone(),
-                crate::transport::TransportChoice::from_env(),
                 parendi_telemetry::TraceConfig::from_env(),
             ),
         }
     }
 
-    /// Short name of the off-chip transport backend in use.
-    pub fn transport_name(&self) -> &'static str {
-        self.core.transport_name()
-    }
-
-    /// Total bytes the off-chip transport has carried so far (whole
-    /// per-chip-pair aggregates per completed cycle — comparable across
-    /// backends; see [`crate::transport`]).
+    /// Total bytes that crossed a chip boundary so far: one whole
+    /// per-chip-pair aggregate mailbox per pair per completed cycle.
     pub fn offchip_bytes_sent(&self) -> u64 {
         self.core.offchip_bytes_sent()
     }
@@ -549,10 +512,10 @@ impl<'c> GangSimulator<'c> {
 
     /// Restores state captured by [`snapshot`](Self::snapshot) — on
     /// this gang or a freshly built one over the same circuit,
-    /// partition, and lane shape (any transport backend, any thread
-    /// count). The next run continues bit-identically to a run that was
-    /// never interrupted. Fails (leaving the gang untouched) when the
-    /// snapshot does not fit this engine.
+    /// partition, and lane shape (any thread count). The next run
+    /// continues bit-identically to a run that was never interrupted.
+    /// Fails (leaving the gang untouched) when the snapshot does not
+    /// fit this engine.
     pub fn restore(
         &mut self,
         snap: &crate::checkpoint::Snapshot,

@@ -69,10 +69,9 @@ pub mod interp;
 pub mod precompiled;
 pub(crate) mod simd;
 pub mod timing;
-pub mod transport;
 pub mod vcd;
 
-pub use bsp::{BspPhases, BspSimulator};
+pub use bsp::{BspPhases, BspSimulator, TransportChoice};
 pub use checkpoint::{Snapshot, SnapshotError};
 pub use fault::{run_campaign, CampaignReport, FaultKind, FaultOutcome, FaultPlan, FaultSpec};
 pub use gang::{GangSimulator, StimulusSet};
@@ -80,5 +79,4 @@ pub use interp::Simulator;
 pub use parendi_telemetry::{CodeStats, MetricsSnapshot, TraceConfig, TraceLevel, TrackSummary};
 pub use precompiled::Precompiled;
 pub use timing::{ipu_rate_khz, ipu_timings};
-pub use transport::TransportChoice;
 pub use vcd::{dump_vcd, dump_vcd_lane, VcdWriter};

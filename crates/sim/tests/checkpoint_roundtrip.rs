@@ -1,26 +1,25 @@
 //! The crash-safety contract: a snapshot taken mid-run and restored
-//! into a *fresh* engine — any thread count, any transport backend —
-//! must continue bit-identically to the uninterrupted run. The matrix
-//! below covers both facades (BSP, gang), both lane layouts (strided,
-//! packed), every transport, and 1/4 worker threads; a separate test
-//! kills a checkpointing child process mid-run and resumes from the
-//! auto-checkpoint it left behind.
+//! into a *fresh* engine at any thread count must continue
+//! bit-identically to the uninterrupted run. The matrix below covers
+//! both facades (BSP, gang), both lane layouts (strided, packed), and
+//! both execution backends — the inline single-thread cycle loop and
+//! the 4-thread worker pool — on a multi-chip partition; a separate
+//! test kills a checkpointing child process mid-run and resumes from
+//! the auto-checkpoint it left behind.
 
 mod common;
 
 use common::random_circuit_io;
 use parendi_core::{compile, Compilation, PartitionConfig};
 use parendi_rtl::{ArrayId, Circuit, RegId};
-use parendi_sim::{BspSimulator, GangSimulator, Snapshot, SnapshotError, TransportChoice};
-
-const BACKENDS: [TransportChoice; 2] = [TransportChoice::InProcess, TransportChoice::SharedMem];
+use parendi_sim::{BspSimulator, GangSimulator, Snapshot, SnapshotError};
 
 fn multi_chip(seed: u64) -> (Circuit, Compilation) {
     let c = random_circuit_io(seed, 10, 50, 2);
     let mut cfg = PartitionConfig::with_tiles(6);
     cfg.tiles_per_chip = 3;
     let comp = compile(&c, &cfg).expect("compiles");
-    assert!(comp.partition.chips >= 2, "must exercise the transport");
+    assert!(comp.partition.chips >= 2, "must exercise the off-chip path");
     (c, comp)
 }
 
@@ -53,50 +52,44 @@ fn bsp_state(bsp: &BspSimulator<'_>, c: &Circuit) -> Vec<u64> {
 }
 
 /// BSP leg of the matrix: snapshot at cycle 21, serialize through
-/// bytes, restore into a fresh engine on a (possibly different)
-/// backend/thread count, run the tail, compare against the
-/// uninterrupted run.
+/// bytes, restore into a fresh engine on the other execution backend
+/// (one thread runs the cycle loop inline, four run the worker pool),
+/// run the tail, compare against the uninterrupted run.
 #[test]
 fn bsp_restore_is_bit_identical_across_backends_and_threads() {
     let (c, comp) = multi_chip(71);
-    for backend in BACKENDS {
-        for &threads in &[1usize, 4] {
-            let mut sim = BspSimulator::with_transport(&c, &comp.partition, threads, backend);
-            sim.poke("in0", 41);
-            sim.poke("in1", 7);
-            sim.run(21);
-            let snap = sim.snapshot();
-            assert_eq!(snap.cycle(), 21);
-            // Serialize through the wire format — what a file holds.
-            let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("round-trips");
-            sim.poke("in1", 19);
-            sim.run(16);
-            let want = bsp_state(&sim, &c);
+    for &threads in &[1usize, 4] {
+        let mut sim = BspSimulator::new(&c, &comp.partition, threads);
+        sim.poke("in0", 41);
+        sim.poke("in1", 7);
+        sim.run(21);
+        let snap = sim.snapshot();
+        assert_eq!(snap.cycle(), 21);
+        // Serialize through the wire format — what a file holds.
+        let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("round-trips");
+        sim.poke("in1", 19);
+        sim.run(16);
+        let want = bsp_state(&sim, &c);
 
-            // Restore into a fresh engine with a *different* thread
-            // count on the same backend (thread count is not part of
-            // the snapshotted state).
-            let mut resumed =
-                BspSimulator::with_transport(&c, &comp.partition, 5 - threads, backend);
-            resumed.restore(&snap).expect("shapes match");
-            assert_eq!(resumed.cycle(), 21, "[{}]", resumed.transport_name());
-            resumed.poke("in1", 19);
-            resumed.run(16);
+        // Restore into a fresh engine with a *different* thread count
+        // and backend (neither is part of the snapshotted state).
+        let mut resumed = BspSimulator::new(&c, &comp.partition, 5 - threads);
+        resumed.restore(&snap).expect("shapes match");
+        assert_eq!(resumed.cycle(), 21);
+        resumed.poke("in1", 19);
+        resumed.run(16);
+        assert_eq!(
+            bsp_state(&resumed, &c),
+            want,
+            "[t{threads}] resumed state diverged"
+        );
+        for o in &c.outputs {
             assert_eq!(
-                bsp_state(&resumed, &c),
-                want,
-                "[{} t{threads}] resumed state diverged",
-                resumed.transport_name(),
+                resumed.peek_output(&o.name),
+                sim.peek_output(&o.name),
+                "[t{threads}] output {}",
+                o.name,
             );
-            for o in &c.outputs {
-                assert_eq!(
-                    resumed.peek_output(&o.name),
-                    sim.peek_output(&o.name),
-                    "[{} t{threads}] output {}",
-                    resumed.transport_name(),
-                    o.name,
-                );
-            }
         }
     }
 }
@@ -104,59 +97,50 @@ fn bsp_restore_is_bit_identical_across_backends_and_threads() {
 /// Gang leg of the matrix: strided (5 lanes) and packed (6 lanes, so
 /// the packed tail sees a non-trivial retire blend), with per-lane
 /// stimulus diverging before *and* after the snapshot, and one lane
-/// retired before the snapshot so retirement state rides along.
+/// retired before the snapshot so retirement state rides along; each
+/// snapshot resumes on the other execution backend (inline vs pool).
 #[test]
 fn gang_restore_is_bit_identical_across_modes_and_backends() {
     let (c, comp) = multi_chip(72);
+    let gang = |threads: usize, lanes: usize, packed: bool| {
+        if packed {
+            GangSimulator::new_packed(&c, &comp.partition, threads, lanes)
+        } else {
+            GangSimulator::new(&c, &comp.partition, threads, lanes)
+        }
+    };
     for packed in [false, true] {
         let lanes = if packed { 6 } else { 5 };
-        for backend in BACKENDS {
-            for &threads in &[1usize, 4] {
-                let mut gang = GangSimulator::with_transport(
-                    &c,
-                    &comp.partition,
-                    threads,
-                    lanes,
-                    packed,
-                    backend,
-                );
-                for l in 0..lanes {
-                    gang.poke_lane("in0", l, 3 + 13 * l as u64);
-                    gang.poke_lane("in1", l, 1 ^ l as u64);
-                }
-                gang.run(9);
-                gang.finish_lane(2);
-                gang.run(8);
-                let snap = Snapshot::from_bytes(&gang.snapshot().to_bytes()).expect("round-trips");
-                for l in 0..lanes {
-                    gang.poke_lane("in0", l, 100 + l as u64);
-                }
-                gang.run(14);
-                let want: Vec<Vec<u64>> = (0..lanes).map(|l| lane_state(&gang, l)).collect();
+        for &threads in &[1usize, 4] {
+            let mut sim = gang(threads, lanes, packed);
+            for l in 0..lanes {
+                sim.poke_lane("in0", l, 3 + 13 * l as u64);
+                sim.poke_lane("in1", l, 1 ^ l as u64);
+            }
+            sim.run(9);
+            sim.finish_lane(2);
+            sim.run(8);
+            let snap = Snapshot::from_bytes(&sim.snapshot().to_bytes()).expect("round-trips");
+            for l in 0..lanes {
+                sim.poke_lane("in0", l, 100 + l as u64);
+            }
+            sim.run(14);
+            let want: Vec<Vec<u64>> = (0..lanes).map(|l| lane_state(&sim, l)).collect();
 
-                let mut resumed = GangSimulator::with_transport(
-                    &c,
-                    &comp.partition,
-                    5 - threads,
-                    lanes,
-                    packed,
-                    backend,
+            let mut resumed = gang(5 - threads, lanes, packed);
+            resumed.restore(&snap).expect("shapes match");
+            assert_eq!(resumed.cycle(), 17);
+            assert!(!resumed.lane_is_active(2), "retirement must be restored");
+            for l in 0..lanes {
+                resumed.poke_lane("in0", l, 100 + l as u64);
+            }
+            resumed.run(14);
+            for (l, want) in want.iter().enumerate() {
+                assert_eq!(
+                    &lane_state(&resumed, l),
+                    want,
+                    "[t{threads} packed={packed}] lane {l} diverged",
                 );
-                resumed.restore(&snap).expect("shapes match");
-                assert_eq!(resumed.cycle(), 17);
-                assert!(!resumed.lane_is_active(2), "retirement must be restored");
-                for l in 0..lanes {
-                    resumed.poke_lane("in0", l, 100 + l as u64);
-                }
-                resumed.run(14);
-                for (l, want) in want.iter().enumerate() {
-                    assert_eq!(
-                        &lane_state(&resumed, l),
-                        want,
-                        "[{} t{threads} packed={packed}] lane {l} diverged",
-                        resumed.transport_name(),
-                    );
-                }
             }
         }
     }
@@ -239,18 +223,10 @@ fn restore_rejects_mismatched_engines() {
 }
 
 const CHILD_ENV: &str = "PARENDI_CKPT_CHILD_PATH";
-const CHILD_BACKEND_ENV: &str = "PARENDI_CKPT_CHILD_BACKEND";
 const CHILD_SEED: u64 = 76;
 
-fn child_backend(name: &str) -> TransportChoice {
-    match name {
-        "shm" => TransportChoice::SharedMem,
-        _ => TransportChoice::InProcess,
-    }
-}
-
 /// Child half of `killed_run_resumes_from_auto_checkpoint`: inert
-/// unless spawned with the handoff env vars. Checkpoints every 10
+/// unless spawned with the handoff env var. Checkpoints every 10
 /// cycles, dies abruptly at cycle 25 — no drop handlers, no flush —
 /// leaving the cycle-20 auto-checkpoint as the only survivor.
 #[test]
@@ -258,24 +234,20 @@ fn ckpt_child_entry() {
     let Ok(path) = std::env::var(CHILD_ENV) else {
         return;
     };
-    let backend = child_backend(&std::env::var(CHILD_BACKEND_ENV).unwrap_or_default());
     let (c, comp) = multi_chip(CHILD_SEED);
-    let mut sim = BspSimulator::with_transport(&c, &comp.partition, 2, backend);
+    let mut sim = BspSimulator::new(&c, &comp.partition, 2);
     sim.set_auto_checkpoint(&path, 10);
     sim.poke("in0", 5);
     sim.poke("in1", 60);
     sim.run(25);
-    // Simulate a crash: skip every destructor (for the shm backend
-    // this also leaks the /dev/shm segment the parent's next engine
-    // build must sweep).
+    // Simulate a crash: skip every destructor.
     std::process::exit(42);
 }
 
-/// The full crash-recovery workflow, per transport backend: a child
-/// process auto-checkpoints every 10 cycles and is lost at cycle 25;
-/// the parent picks up the cycle-20 snapshot from disk, restores it
-/// into a fresh engine, and the resumed run is bit-identical to an
-/// uninterrupted one.
+/// The full crash-recovery workflow: a child process auto-checkpoints
+/// every 10 cycles and is lost at cycle 25; the parent picks up the
+/// cycle-20 snapshot from disk, restores it into a fresh engine, and
+/// the resumed run is bit-identical to an uninterrupted one.
 #[test]
 fn killed_run_resumes_from_auto_checkpoint() {
     let (c, comp) = multi_chip(CHILD_SEED);
@@ -287,49 +259,29 @@ fn killed_run_resumes_from_auto_checkpoint() {
     let want = bsp_state(&reference, &c);
 
     let exe = std::env::current_exe().expect("current test binary");
-    for backend in BACKENDS {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!(
-            "parendi-ckpt-test-{}-{}.snap",
-            std::process::id(),
-            backend.name()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let status = std::process::Command::new(&exe)
-            .args(["ckpt_child_entry", "--exact"])
-            .env(CHILD_ENV, &path)
-            .env(CHILD_BACKEND_ENV, backend.name())
-            .status()
-            .expect("spawn checkpointing child");
-        assert_eq!(
-            status.code(),
-            Some(42),
-            "[{}] child died as planned",
-            backend.name()
-        );
+    let path = std::env::temp_dir().join(format!("parendi-ckpt-test-{}.snap", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let status = std::process::Command::new(&exe)
+        .args(["ckpt_child_entry", "--exact"])
+        .env(CHILD_ENV, &path)
+        .status()
+        .expect("spawn checkpointing child");
+    assert_eq!(status.code(), Some(42), "child died as planned");
 
-        let snap = Snapshot::read(&path)
-            .unwrap_or_else(|e| panic!("[{}] read auto-checkpoint: {e}", backend.name()));
-        assert_eq!(
-            snap.cycle(),
-            20,
-            "[{}] last full checkpoint",
-            backend.name()
-        );
-        let _ = std::fs::remove_file(&path);
+    let snap = Snapshot::read(&path).unwrap_or_else(|e| panic!("read auto-checkpoint: {e}"));
+    assert_eq!(snap.cycle(), 20, "last full checkpoint");
+    let _ = std::fs::remove_file(&path);
 
-        // Resume on the same backend, different thread count.
-        let mut resumed = BspSimulator::with_transport(&c, &comp.partition, 3, backend);
-        resumed.restore(&snap).expect("shapes match");
-        resumed.run(25);
-        assert_eq!(resumed.cycle(), 45);
-        assert_eq!(
-            bsp_state(&resumed, &c),
-            want,
-            "[{}] kill-resume diverged from the uninterrupted run",
-            backend.name(),
-        );
-    }
+    // Resume on a different thread count.
+    let mut resumed = BspSimulator::new(&c, &comp.partition, 3);
+    resumed.restore(&snap).expect("shapes match");
+    resumed.run(25);
+    assert_eq!(resumed.cycle(), 45);
+    assert_eq!(
+        bsp_state(&resumed, &c),
+        want,
+        "kill-resume diverged from the uninterrupted run"
+    );
 }
 
 /// `PARENDI_CHECKPOINT` chunking must not change results: an

@@ -18,7 +18,7 @@ fn multi_chip(seed: u64) -> (Circuit, Compilation) {
     let mut cfg = PartitionConfig::with_tiles(6);
     cfg.tiles_per_chip = 3;
     let comp = compile(&c, &cfg).expect("compiles");
-    assert!(comp.partition.chips >= 2, "must exercise the transport");
+    assert!(comp.partition.chips >= 2, "must exercise the off-chip path");
     (c, comp)
 }
 

@@ -95,8 +95,8 @@ fn check_gang(
     }
 }
 
-/// The ISSUE's acceptance matrix: Pre/Post multi-chip distribution ×
-/// 1/2/4/8 threads × 1/3/4/16 lanes, per-lane stimulus, array writes and
+/// The acceptance matrix: Pre/Post multi-chip distribution × 1/2/4/8
+/// threads × 1/3/4/16 lanes, per-lane stimulus, array writes and
 /// primary-output readback checked in every lane.
 #[test]
 fn gang_matrix_matches_reference_per_lane() {

@@ -278,23 +278,28 @@ fn traced_runs_are_bit_identical_to_untraced() {
     }
 }
 
-/// Every transport backend records its spans on the shared sink, and
-/// both backends stay monotone.
+/// Both execution paths — the inline single-thread cycle loop and the
+/// worker pool — record their spans on the shared sink and keep every
+/// track monotone over a longer 2-chip run.
 #[test]
-fn traced_runs_cover_all_transports() {
+fn traced_multi_chip_runs_stay_monotone() {
     let c = random_circuit_io(19, 8, 40, 2);
     let comp = compile_two_chip(&c, MultiChipStrategy::Post);
-    for backend in [TransportChoice::InProcess, TransportChoice::SharedMem] {
-        let mut sim =
-            BspSimulator::with_trace(&c, &comp.partition, 2, backend, TraceConfig::tile());
+    for threads in [1usize, 2] {
+        let mut sim = BspSimulator::with_trace(
+            &c,
+            &comp.partition,
+            threads,
+            TransportChoice::InProcess,
+            TraceConfig::tile(),
+        );
         sim.poke("in0", 1);
         sim.run(8);
-        let name = sim.transport_name();
         let (_, spans) = parse_chrome(&sim.trace_json().expect("tracing on"));
         assert_tracks_monotone(&spans);
         assert!(
             spans.iter().any(|s| s.name == "compute"),
-            "[{name}] worker spans present"
+            "[{threads} threads] worker spans present"
         );
     }
 }

@@ -1,23 +1,30 @@
-//! The off-chip transport contract: every backend — in-process and
-//! shared-memory — must produce bit-identical
-//! architectural state to the reference interpreter, for both
-//! multi-chip partitioning strategies, at 1/2/4 chips. The backends
-//! differ only in which memory-domain boundary the per-chip-pair
-//! aggregates cross; the byte column must be comparable across them.
+//! The off-chip exchange contract: the per-chip-pair aggregate
+//! mailboxes must carry cross-chip values so that the engine stays
+//! bit-identical to the reference interpreter, for both multi-chip
+//! partitioning strategies, at 1/2/4 chips, across input changes
+//! mid-run, uneven run chunks, and gang lanes. There is one off-chip
+//! path (producing tiles write the aggregates directly); the test
+//! names predate the removal of the alternative backends.
 
 mod common;
 
 use common::random_circuit_io;
 use parendi_core::{compile, MultiChipStrategy, PartitionConfig};
 use parendi_rtl::RegId;
-use parendi_sim::{BspSimulator, GangSimulator, Simulator, TransportChoice};
+use parendi_sim::{BspSimulator, GangSimulator, Simulator};
 
-const BACKENDS: [TransportChoice; 2] = [TransportChoice::InProcess, TransportChoice::SharedMem];
-
-/// Runs the reference and every transport backend over the same
-/// stimulus and asserts identical registers, arrays, and outputs.
-/// Returns the per-backend byte columns for comparability checks.
-fn check_backends(seed: u64, chips: u32, mc: MultiChipStrategy, threads: usize) -> Vec<u64> {
+/// Drives a 3-input random circuit partitioned over `chips` chips
+/// through `schedule` — `(poke base, cycles)` chunks, inputs re-poked
+/// before each chunk so input changes cross chips mid-run — and
+/// asserts identical registers, arrays, and outputs against the
+/// reference. Returns the off-chip byte count.
+fn check_chip_count(
+    seed: u64,
+    chips: u32,
+    mc: MultiChipStrategy,
+    threads: usize,
+    schedule: &[(u64, u64)],
+) -> u64 {
     let c = random_circuit_io(seed, 12, 60, 3);
     let mut cfg = PartitionConfig::with_tiles(chips * 2);
     cfg.tiles_per_chip = 2;
@@ -27,126 +34,80 @@ fn check_backends(seed: u64, chips: u32, mc: MultiChipStrategy, threads: usize) 
         comp.partition.chips, chips,
         "partition must span {chips} chips"
     );
-
-    // Reference run: poke, run a chunk, re-poke, run again — input
-    // changes between chunks cross the transport mid-run.
-    let stim = [(5u64, 30u64), (0xdead_beef, 21)];
     let mut reference = Simulator::new(&c);
-    for &(base, cycles) in &stim {
+    let mut bsp = BspSimulator::new(&c, &comp.partition, threads);
+    for &(base, cycles) in schedule {
         for i in 0..3 {
-            reference.poke(&format!("in{i}"), base.wrapping_add(i as u64));
+            let name = format!("in{i}");
+            reference.poke(&name, base.wrapping_add(i as u64));
+            bsp.poke(&name, base.wrapping_add(i as u64));
         }
         reference.step_n(cycles);
+        bsp.run(cycles);
     }
-
-    let mut bytes = Vec::new();
-    for backend in BACKENDS {
-        let mut bsp = BspSimulator::with_transport(&c, &comp.partition, threads, backend);
-        for &(base, cycles) in &stim {
-            for i in 0..3 {
-                bsp.poke(&format!("in{i}"), base.wrapping_add(i as u64));
-            }
-            bsp.run(cycles);
-        }
-        let tag = bsp.transport_name();
-        for i in 0..c.regs.len() {
+    let tag = format!("seed {seed} {mc:?} {chips} chips x{threads}");
+    let total: u64 = schedule.iter().map(|&(_, n)| n).sum();
+    assert_eq!(bsp.cycle(), total, "{tag}: cycle count");
+    for i in 0..c.regs.len() {
+        assert_eq!(
+            bsp.reg_value(RegId(i as u32)),
+            reference.reg_value(RegId(i as u32)),
+            "{tag}: reg {i} ({})",
+            c.regs[i].name,
+        );
+    }
+    for (ai, a) in c.arrays.iter().enumerate() {
+        for idx in 0..a.depth {
             assert_eq!(
-                bsp.reg_value(RegId(i as u32)),
-                reference.reg_value(RegId(i as u32)),
-                "seed {seed} {mc:?} {chips} chips [{tag}]: reg {i} ({})",
-                c.regs[i].name,
+                bsp.array_value(parendi_rtl::ArrayId(ai as u32), idx),
+                reference.array_value(parendi_rtl::ArrayId(ai as u32), idx),
+                "{tag}: array {}[{idx}]",
+                a.name,
             );
         }
-        for (ai, a) in c.arrays.iter().enumerate() {
-            for idx in 0..a.depth {
-                assert_eq!(
-                    bsp.array_value(parendi_rtl::ArrayId(ai as u32), idx),
-                    reference.array_value(parendi_rtl::ArrayId(ai as u32), idx),
-                    "seed {seed} {mc:?} {chips} chips [{tag}]: array {}[{idx}]",
-                    a.name,
-                );
-            }
-        }
-        for (oi, o) in c.outputs.iter().enumerate() {
-            assert_eq!(
-                bsp.peek_output(&o.name).expect("engine output"),
-                reference.output(&o.name).expect("reference output"),
-                "seed {seed} {mc:?} {chips} chips [{tag}]: output {oi} ({})",
-                o.name,
-            );
-        }
-        bytes.push(bsp.offchip_bytes_sent());
     }
-    bytes
+    for o in &c.outputs {
+        assert_eq!(
+            bsp.peek_output(&o.name).expect("engine output"),
+            reference.output(&o.name).expect("reference output"),
+            "{tag}: output {}",
+            o.name,
+        );
+    }
+    bsp.offchip_bytes_sent()
 }
 
+/// 1/2/4 chips under both fiber-distribution strategies, with inputs
+/// re-poked between two runs.
 #[test]
 fn all_backends_match_the_reference_across_chip_counts() {
     for seed in [11u64, 47] {
         for mc in [MultiChipStrategy::Pre, MultiChipStrategy::Post] {
-            for &chips in &[1u32, 2, 4] {
-                let bytes = check_backends(seed, chips, mc, 3);
-                // The byte column is defined identically for every
-                // backend (whole pair aggregates per completed cycle),
-                // so the measured volumes must agree exactly.
-                assert!(
-                    bytes.iter().all(|&b| b == bytes[0]),
-                    "seed {seed} {mc:?} {chips} chips: byte columns diverged: {bytes:?}"
-                );
+            for chips in [1u32, 2, 4] {
+                let bytes = check_chip_count(seed, chips, mc, 3, &[(5, 30), (0xdead_beef, 21)]);
                 if chips == 1 {
-                    assert_eq!(bytes[0], 0, "no off-chip traffic on one chip");
+                    assert_eq!(bytes, 0, "no off-chip traffic on one chip");
                 } else {
-                    assert!(bytes[0] > 0, "multi-chip runs must move bytes");
+                    assert!(bytes > 0, "multi-chip runs must move bytes");
                 }
             }
         }
     }
 }
 
-/// The staged backends must survive uneven run() chunking: the epoch
-/// parity of the double-buffered aggregates alternates per cycle, and a
-/// chunk boundary must not desynchronize the publish/receive protocol.
+/// Uneven run chunks: the double-buffered chip-pair aggregates
+/// alternate parity per cycle, so a chunk boundary must not
+/// desynchronize them.
 #[test]
 fn staged_backends_survive_chunked_runs() {
-    let c = random_circuit_io(23, 10, 50, 2);
-    let mut cfg = PartitionConfig::with_tiles(6);
-    cfg.tiles_per_chip = 3;
-    let comp = compile(&c, &cfg).expect("compiles");
-    assert!(comp.partition.chips >= 2);
-    let mut reference = Simulator::new(&c);
-    reference.poke("in0", 9);
-    reference.poke("in1", 1);
-    let mut sims: Vec<BspSimulator> = BACKENDS
-        .iter()
-        .map(|&b| {
-            let mut s = BspSimulator::with_transport(&c, &comp.partition, 2, b);
-            s.poke("in0", 9);
-            s.poke("in1", 1);
-            s
-        })
-        .collect();
-    for chunk in [1u64, 2, 1, 61, 64] {
-        reference.step_n(chunk);
-        for s in &mut sims {
-            s.run(chunk);
-        }
-    }
-    for s in &sims {
-        assert_eq!(s.cycle(), 129);
-        for i in 0..c.regs.len() {
-            assert_eq!(
-                s.reg_value(RegId(i as u32)),
-                reference.reg_value(RegId(i as u32)),
-                "[{}] reg {i} diverged across chunked runs",
-                s.transport_name(),
-            );
-        }
+    let chunks = [(9, 1), (9, 2), (1, 1), (1, 61), (9, 64)];
+    for mc in [MultiChipStrategy::Pre, MultiChipStrategy::Post] {
+        check_chip_count(23, 2, mc, 2, &chunks);
     }
 }
 
-/// The gang engine rides the same transport seam: a multi-lane run
-/// under each backend must be bit-exact per lane against per-lane
-/// reference interpreters.
+/// The gang engine shares the off-chip path: a 5-lane multi-chip run
+/// must be bit-exact per lane against per-lane reference interpreters.
 #[test]
 fn gang_lanes_match_under_every_backend() {
     let c = random_circuit_io(31, 8, 40, 2);
@@ -162,22 +123,20 @@ fn gang_lanes_match_under_every_backend() {
         r.poke("in1", 77u64.wrapping_mul(l as u64 + 1));
         r.step_n(cycles);
     }
-    for backend in BACKENDS {
-        let mut gang = GangSimulator::with_transport(&c, &comp.partition, 2, lanes, false, backend);
-        for l in 0..lanes {
-            gang.poke_lane("in0", l, 3 + l as u64);
-            gang.poke_lane("in1", l, 77u64.wrapping_mul(l as u64 + 1));
-        }
-        gang.run(cycles);
-        for (l, r) in refs.iter().enumerate() {
-            for i in 0..c.regs.len() {
-                assert_eq!(
-                    gang.reg_value_lane(RegId(i as u32), l),
-                    r.reg_value(RegId(i as u32)),
-                    "[{}] lane {l} reg {i} diverged",
-                    gang.transport_name(),
-                );
-            }
+    let mut gang = GangSimulator::new(&c, &comp.partition, 2, lanes);
+    for l in 0..lanes {
+        gang.poke_lane("in0", l, 3 + l as u64);
+        gang.poke_lane("in1", l, 77u64.wrapping_mul(l as u64 + 1));
+    }
+    gang.run(cycles);
+    assert!(gang.offchip_bytes_sent() > 0, "multi-chip gang moves bytes");
+    for (l, r) in refs.iter().enumerate() {
+        for i in 0..c.regs.len() {
+            assert_eq!(
+                gang.reg_value_lane(RegId(i as u32), l),
+                r.reg_value(RegId(i as u32)),
+                "lane {l} reg {i} diverged",
+            );
         }
     }
 }

@@ -75,11 +75,6 @@ impl MetricsRegistry {
         c
     }
 
-    /// Gauge-style one-shot write (registers on first use).
-    pub fn set(&self, name: &str, v: u64) {
-        self.counter(name).set(v);
-    }
-
     /// Point-in-time copy of every registered value, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut entries: Vec<(String, u64)> = self
@@ -192,8 +187,8 @@ mod tests {
     #[test]
     fn snapshot_json_round_trips() {
         let reg = MetricsRegistry::new();
-        reg.set("zeta", 7);
-        reg.set("alpha", 0);
+        reg.counter("zeta").set(7);
+        reg.counter("alpha");
         reg.counter("mid").add(u64::MAX);
         let snap = reg.snapshot();
         assert_eq!(
@@ -227,8 +222,8 @@ mod tests {
     #[test]
     fn text_export_shape() {
         let reg = MetricsRegistry::new();
-        reg.set("a", 1);
-        reg.set("b", 2);
+        reg.counter("a").set(1);
+        reg.counter("b").set(2);
         assert_eq!(reg.snapshot().to_text(), "a 1\nb 2\n");
     }
 }

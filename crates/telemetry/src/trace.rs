@@ -92,7 +92,7 @@ impl TraceConfig {
     /// Reads `PARENDI_TRACE` (an output path; unset, empty, or `0`
     /// disables tracing) and `PARENDI_TRACE_LEVEL` (`phase` | `tile`,
     /// default `tile`). Because one process may build many engines
-    /// (the fig bins sweep backends and chip counts), the second and
+    /// (the fig bins sweep chip counts and strategies), the second and
     /// later env-configured engines get a numbered path — `out.json`,
     /// `out.1.json`, `out.2.json`, … — instead of clobbering the first.
     pub fn from_env() -> Self {
@@ -135,28 +135,25 @@ pub enum SpanKind {
     /// A tile program's compute phase.
     Compute = 0,
     /// Copying a tile's off-chip send segments into the pair
-    /// aggregates (staging or direct).
+    /// aggregates.
     OffchipFlush = 1,
     /// The modeled link residual the worker actually waited out (the
     /// part compute did not overlap).
     OverlapResidual = 2,
-    /// Blocking until the cycle's inbound frames arrived.
-    TransportRecv = 3,
     /// Waiting on the phase barrier (either of the two per cycle).
-    BarrierWait = 4,
+    BarrierWait = 3,
     /// A tile program's on-chip exchange phase.
-    Exchange = 5,
+    Exchange = 4,
 }
 
 /// Number of [`SpanKind`] variants.
-pub const SPAN_KINDS: usize = 6;
+pub const SPAN_KINDS: usize = 5;
 
 impl SpanKind {
     pub const ALL: [SpanKind; SPAN_KINDS] = [
         SpanKind::Compute,
         SpanKind::OffchipFlush,
         SpanKind::OverlapResidual,
-        SpanKind::TransportRecv,
         SpanKind::BarrierWait,
         SpanKind::Exchange,
     ];
@@ -167,7 +164,6 @@ impl SpanKind {
             SpanKind::Compute => "compute",
             SpanKind::OffchipFlush => "offchip_flush",
             SpanKind::OverlapResidual => "overlap_residual",
-            SpanKind::TransportRecv => "transport_recv",
             SpanKind::BarrierWait => "barrier_wait",
             SpanKind::Exchange => "exchange",
         }
@@ -178,7 +174,6 @@ impl SpanKind {
         match self {
             SpanKind::Compute => "compute",
             SpanKind::OffchipFlush | SpanKind::OverlapResidual => "offchip",
-            SpanKind::TransportRecv => "transport",
             SpanKind::BarrierWait => "sync",
             SpanKind::Exchange => "exchange",
         }
@@ -186,7 +181,7 @@ impl SpanKind {
 }
 
 /// The [`TraceEvent::tile`] value of worker-scoped spans (barrier
-/// waits, transport waits, phase-level merges).
+/// waits, overlap residuals, phase-level merges).
 pub const NO_TILE: u32 = u32::MAX;
 
 /// One recorded span, timestamped against the sink's epoch.
@@ -214,8 +209,8 @@ impl TraceEvent {
 
 /// One track's event store: a fixed-capacity single-writer buffer.
 ///
-/// Exactly one thread may call [`push`](TraceBuf::push) (the worker or
-/// transport writer that owns the track); any thread may
+/// Exactly one thread may call [`push`](TraceBuf::push) (the worker
+/// that owns the track); any thread may
 /// [`snapshot`](TraceBuf::snapshot) concurrently. The buffer saturates
 /// when full. Cache-line aligned so adjacent tracks' write cursors
 /// never share a line.
@@ -552,7 +547,7 @@ mod tests {
         });
         a.push(ev(SpanKind::BarrierWait, 4000, 1000));
         let b = sink.register("engine-worker-1");
-        b.push(ev(SpanKind::TransportRecv, 2000, 500));
+        b.push(ev(SpanKind::Exchange, 2000, 500));
         let json = sink.chrome_json();
         assert!(json.starts_with("{\"traceEvents\":[\n"));
         assert!(json.trim_end().ends_with("]}"));
