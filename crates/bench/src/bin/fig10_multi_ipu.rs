@@ -5,13 +5,11 @@
 //! Beyond the modeled sweep, a *measured* section runs the real BSP
 //! engine at host scale with chips mapped to worker groups: cross-chip
 //! traffic rides per-chip-pair aggregate mailboxes flushed in a
-//! separately-timed sub-phase, and a per-word delay models the slower
-//! off-chip link, reproducing the `m×b` effect live.
+//! separately-timed sub-phase. The measured columns are host time; the
+//! modeled off-chip volume and its link cost print next to them in
+//! their own units.
 
-use parendi_bench::{
-    calibrate_offchip_spin, ipu_point, lr_max, quick, sr_max, write_bench_json, BenchRecord,
-    TILE_SWEEP,
-};
+use parendi_bench::{ipu_point, lr_max, quick, sr_max, write_bench_json, BenchRecord, TILE_SWEEP};
 use parendi_core::{compile, PartitionConfig};
 use parendi_designs::Benchmark;
 use parendi_machine::ipu::IpuConfig;
@@ -78,23 +76,7 @@ fn main() {
 
     // Measured engine: the same chip-count sweep executed for real at
     // host scale. One worker group per chip; the off-chip column is the
-    // timed flush of the per-chip-pair aggregate mailboxes. The spin
-    // knob is no longer a swept magic number: it is *fitted* once to
-    // the modeled off-chip link (offchip_bytes_per_cycle /
-    // offchip_contention, scaled into host time by a calibration run),
-    // so the measured flush column and the modeled volume cost print in
-    // shared units — modeled IPU cycles per RTL cycle.
-    let cal = calibrate_offchip_spin(&ipu);
-    println!(
-        "\nOff-chip calibration: {} spins/word (exact {:.2}; link {:.1} B/model-cyc / \
-         contention {:.2}; host {:.2} ns per model cycle; {:.0} Mspin/s)",
-        cal.spins_per_word,
-        cal.spins_per_word_exact,
-        ipu.offchip_bytes_per_cycle,
-        ipu.offchip_contention,
-        cal.host_s_per_model_cycle * 1e9,
-        cal.spin_hz / 1e6,
-    );
+    // timed flush of the per-chip-pair aggregate mailboxes.
     let design = Benchmark::Sr(if quick() { 3 } else { 4 });
     let circuit = design.build();
     let per_chip = 8u32;
@@ -102,22 +84,18 @@ fn main() {
     let cycles: u64 = if quick() { 200 } else { 500 };
     let chip_sweep: &[u32] = if quick() { &[1, 2] } else { &[1, 2, 4] };
     println!(
-        "\nMeasured engine ({}, {per_chip} tiles/chip, {threads} threads, calibrated \
-         {} spins/word off-chip):",
+        "\nMeasured engine ({}, {per_chip} tiles/chip, {threads} threads):",
         design.name(),
-        cal.spins_per_word,
     );
     println!(
-        "{:>6} {:>6} {:>11} {:>11} {:>12} {:>12} {:>10} {:>12} {:>12} {:>9}",
+        "{:>6} {:>6} {:>11} {:>12} {:>11} {:>12} {:>12} {:>9}",
         "chips",
         "tiles",
         "offchipKiB",
+        "model(mcyc)",
         "comp/cyc",
         "onchip/cyc",
         "offchip/cyc",
-        "ovlp/cyc",
-        "meas(mcyc)",
-        "model(mcyc)",
         "kcyc/s"
     );
     // The last sweep point's compilation and timings double as the
@@ -129,7 +107,6 @@ fn main() {
         cfg.tiles_per_chip = per_chip;
         let comp = compile(&circuit, &cfg).expect("host-scale compile");
         let mut sim = BspSimulator::new(&circuit, &comp.partition, threads);
-        sim.set_offchip_spin_per_word(cal.spins_per_word);
         sim.run(50); // warm the persistent pool
         let ph = sim.run_timed(cycles);
         records.push(
@@ -148,50 +125,39 @@ fn main() {
             )
             .with_metrics(sim.metrics_snapshot()),
         );
-        // Shared units: the measured link occupancy converted to model
-        // cycles next to the model's throughput term for the same
-        // volume (the fixed off-chip latency is the model's separate
-        // floor; it has no engine counterpart and is excluded from both
-        // columns). Since the flush/compute overlap, the straggler's
-        // link time is its residual wait plus whatever compute hid
-        // (`overlap_s`) — together the full serialized occupancy the
-        // model charges, printed whole so the columns stay comparable.
-        let link_s = ph.offchip_s + ph.overlap_s;
-        let meas_model_cycles = cal.host_s_to_model_cycles(link_s / cycles as f64);
+        // Modeled side: the cross-chip volume and the model's link
+        // throughput term for it, in IPU cycles per RTL cycle (the
+        // fixed off-chip latency is the model's separate floor).
         let model_volume_cycles = comp.plan.offchip_total_bytes as f64 * ipu.offchip_contention
             / ipu.offchip_bytes_per_cycle;
         println!(
-            "{:>6} {:>6} {:>11.2} {:>9.2}µs {:>10.2}µs {:>10.2}µs {:>8.2}µs {:>12.1} {:>12.1} {:>9.1}",
+            "{:>6} {:>6} {:>11.2} {:>12.1} {:>9.2}µs {:>10.2}µs {:>10.2}µs {:>9.1}",
             chips,
             comp.partition.tiles_used(),
             comp.plan.offchip_total_bytes as f64 / 1024.0,
+            model_volume_cycles,
             ph.compute_s * 1e6 / cycles as f64,
             ph.exchange_s * 1e6 / cycles as f64,
             ph.offchip_s * 1e6 / cycles as f64,
-            ph.overlap_s * 1e6 / cycles as f64,
-            meas_model_cycles,
-            model_volume_cycles,
             cycles as f64 / ph.total_s / 1e3,
         );
         last_point = Some((chips, comp, ph));
     }
-    println!("\nShape check: the measured off-chip column is zero at 1 chip and grows");
-    println!("with the modeled cross-chip volume once chips > 1; ovlp/cyc is the");
-    println!("modeled link time the eager flush hid under compute. meas(mcyc) and");
-    println!("model(mcyc) share units (modeled IPU cycles per RTL cycle, volume term");
-    println!("only); at this reproduction's tiny volumes the measured side is mostly");
-    println!("per-record flush bookkeeping, so expect meas >> model until designs");
-    println!("move enough bytes for the calibrated per-word term to dominate.");
+    println!("\nShape check: offchip/cyc is host time measured on this machine: the");
+    println!("copies of each tile's cross-chip words into the chip-pair mailboxes.");
+    println!("It is zero at 1 chip and grows with the cross-chip volume once");
+    println!("chips > 1. offchipKiB and model(mcyc) are the modeled IPU volume and");
+    println!("its link throughput term (IPU cycles per RTL cycle); they are printed");
+    println!("for comparison and never converted into host time.");
 
     // Gang throughput next to the single-lane engine: the sweep's last
     // point (compilation and timed single-lane phases) is reused as the
-    // baseline — same partition, same calibrated spin. Aggregate
-    // lane-cycles/sec beats the single-lane engine because each
-    // dispatched step amortizes over all lanes.
+    // baseline on the same partition. Aggregate lane-cycles/sec beats
+    // the single-lane engine because each dispatched step amortizes
+    // over all lanes.
     let (chips, comp, ph1) = last_point.expect("non-empty chip sweep");
     let lanes = 4usize;
     let mut gang = GangSimulator::new(&circuit, &comp.partition, threads, lanes);
-    gang.set_offchip_spin_per_word(cal.spins_per_word);
     gang.run(50);
     let phl = gang.run_timed(cycles);
     println!(

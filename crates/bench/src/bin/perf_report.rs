@@ -109,7 +109,6 @@ fn main() {
     let short = |kind: SpanKind| match kind {
         SpanKind::Compute => "compute",
         SpanKind::OffchipFlush => "flush",
-        SpanKind::OverlapResidual => "residual",
         SpanKind::BarrierWait => "barrier",
         SpanKind::Exchange => "exchange",
     };
@@ -182,7 +181,6 @@ fn main() {
         compute_s: ph.compute_s,
         offchip_s: ph.offchip_s,
         exchange_s: ph.exchange_s,
-        overlap_s: ph.overlap_s,
         total_s: ph.total_s,
         ..BenchRecord::default()
     }

@@ -233,7 +233,6 @@ fn run_load(
         compute_s: 0.0,
         offchip_s: 0.0,
         exchange_s: 0.0,
-        overlap_s: 0.0,
         total_s: secs,
         metrics: Default::default(),
     };

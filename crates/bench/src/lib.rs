@@ -15,7 +15,6 @@
 
 use parendi_baseline::VerilatorModel;
 use parendi_core::{compile, Compilation, PartitionConfig};
-use parendi_designs::Benchmark;
 use parendi_machine::ipu::{IpuConfig, IpuTimings};
 use parendi_machine::x64::X64Config;
 use parendi_rtl::Circuit;
@@ -76,12 +75,10 @@ pub struct BenchRecord {
     pub lane_cycles_per_s: f64,
     /// Straggler compute seconds over the timed run.
     pub compute_s: f64,
-    /// Straggler off-chip flush + residual link seconds.
+    /// Straggler off-chip flush seconds.
     pub offchip_s: f64,
     /// Straggler exchange (incl. barrier) seconds.
     pub exchange_s: f64,
-    /// Modeled link seconds hidden by the flush/compute overlap.
-    pub overlap_s: f64,
     /// Wall seconds of the timed run.
     pub total_s: f64,
     /// Engine metrics snapshot at record time, serialized as a nested
@@ -125,7 +122,6 @@ impl BenchRecord {
             compute_s: ph.compute_s,
             offchip_s: ph.offchip_s,
             exchange_s: ph.exchange_s,
-            overlap_s: ph.overlap_s,
             total_s: ph.total_s,
             metrics: parendi_sim::MetricsSnapshot::default(),
         }
@@ -152,7 +148,7 @@ impl BenchRecord {
              \"chips\":{},\"tiles\":{},\
              \"lanes\":{},\"threads\":{},\"cycles\":{},\"cycles_per_s\":{:.1},\
              \"lane_cycles_per_s\":{:.1},\"compute_s\":{:.9},\"offchip_s\":{:.9},\
-             \"exchange_s\":{:.9},\"overlap_s\":{:.9},\"total_s\":{:.9}{metrics}}}",
+             \"exchange_s\":{:.9},\"total_s\":{:.9}{metrics}}}",
             self.bin,
             self.design,
             self.engine,
@@ -168,7 +164,6 @@ impl BenchRecord {
             self.compute_s,
             self.offchip_s,
             self.exchange_s,
-            self.overlap_s,
             self.total_s,
         )
     }
@@ -264,7 +259,6 @@ pub fn parse_bench_json(text: &str) -> Vec<BenchRecord> {
                 "compute_s" => r.compute_s = n,
                 "offchip_s" => r.offchip_s = n,
                 "exchange_s" => r.exchange_s = n,
-                "overlap_s" => r.overlap_s = n,
                 "total_s" => r.total_s = n,
                 _ => {}
             }
@@ -477,99 +471,6 @@ pub fn verilator_point(model: &VerilatorModel, host: &X64Config) -> VerilatorPoi
     }
 }
 
-/// The fitted off-chip spin knob: the engine's
-/// `set_offchip_spin_per_word` constant calibrated against the machine
-/// model's off-chip link throughput (`offchip_bytes_per_cycle` /
-/// `offchip_contention`), so the engine's *measured* off-chip flush
-/// seconds and the model's off-chip exchange cycles can be printed in
-/// shared units (model cycles per RTL cycle).
-#[derive(Clone, Copy, Debug)]
-pub struct OffchipCalibration {
-    /// Spin iterations per flushed word (rounded, at least 1) — pass to
-    /// `set_offchip_spin_per_word`.
-    pub spins_per_word: u32,
-    /// The unrounded fit.
-    pub spins_per_word_exact: f64,
-    /// Host seconds one modeled IPU compute cycle costs on this box
-    /// (fitted from a timed single-chip engine run of a reference
-    /// design: host compute seconds per RTL cycle / total modeled
-    /// per-cycle compute cycles).
-    pub host_s_per_model_cycle: f64,
-    /// Measured spin-loop iterations per second on this host.
-    pub spin_hz: f64,
-}
-
-impl OffchipCalibration {
-    /// Converts measured host seconds into modeled IPU cycles — the
-    /// shared unit the calibrated columns are printed in.
-    pub fn host_s_to_model_cycles(&self, seconds: f64) -> f64 {
-        seconds / self.host_s_per_model_cycle
-    }
-}
-
-/// Measures the host's spin-loop rate (iterations/second), growing the
-/// sample until it spans at least 10 ms.
-fn measure_spin_hz() -> f64 {
-    let mut iters = 1u64 << 20;
-    loop {
-        let t = std::time::Instant::now();
-        for _ in 0..iters {
-            std::hint::spin_loop();
-        }
-        let s = t.elapsed().as_secs_f64();
-        if s >= 0.01 || iters >= 1 << 30 {
-            return iters as f64 / s.max(1e-9);
-        }
-        iters *= 4;
-    }
-}
-
-/// Fits the engine's off-chip spin knob to `ipu`'s modeled off-chip
-/// link, once per host (ROADMAP follow-up: "calibrate the off-chip
-/// spin knob against the modeled `offchip_bytes_per_cycle` so measured
-/// and modeled columns share units").
-///
-/// The fit chains two measurements:
-///
-/// 1. a timed single-chip engine run of a reference design gives the
-///    host-seconds-per-modeled-compute-cycle ratio (how fast this box
-///    is relative to the modeled machine, in the model's own cycle
-///    currency);
-/// 2. the host's spin-loop rate converts a desired host delay into
-///    spin iterations.
-///
-/// The modeled link moves `offchip_bytes_per_cycle / offchip_contention`
-/// bytes per model cycle, i.e. one 8-byte word costs
-/// `8 × contention / bytes_per_cycle` model cycles; scaling by (1) and
-/// (2) yields spin iterations per word. The fixed `offchip_latency` is
-/// deliberately *not* folded in — the knob models the throughput term
-/// (`m×b`, Fig. 5 right), and the figure binaries print the modeled
-/// latency floor separately.
-pub fn calibrate_offchip_spin(ipu: &IpuConfig) -> OffchipCalibration {
-    let spin_hz = measure_spin_hz();
-    let circuit = Benchmark::Sr(3).build();
-    // Defaults keep tiles_per_chip at machine scale: one chip, so the
-    // timed run has a pure compute/exchange split with no flush term.
-    let cfg = PartitionConfig::with_tiles(16);
-    let comp = compile(&circuit, &cfg).expect("reference design compiles");
-    let model_comp: u64 = comp.partition.processes.iter().map(|p| p.ipu_cost).sum();
-    // One thread on purpose: the inline path's compute_s covers every
-    // tile, matching the summed model cycles.
-    let mut sim = parendi_sim::BspSimulator::new(&circuit, &comp.partition, 1);
-    sim.run(50); // warm caches
-    let cycles: u64 = if quick() { 200 } else { 500 };
-    let ph = sim.run_timed(cycles);
-    let host_s_per_model_cycle = (ph.compute_s / cycles as f64) / model_comp.max(1) as f64;
-    let model_cycles_per_word = 8.0 * ipu.offchip_contention / ipu.offchip_bytes_per_cycle;
-    let exact = model_cycles_per_word * host_s_per_model_cycle * spin_hz;
-    OffchipCalibration {
-        spins_per_word: exact.round().max(1.0) as u32,
-        spins_per_word_exact: exact,
-        host_s_per_model_cycle,
-        spin_hz,
-    }
-}
-
 /// Geometric mean of an iterator of positive values.
 pub fn gmean(values: impl IntoIterator<Item = f64>) -> f64 {
     let (sum, n) = values
@@ -649,8 +550,9 @@ mod tests {
         assert!(check_regressions(&[], &base, 0.25).is_empty());
     }
 
-    /// The `packed` field survives a JSON round-trip, and records
-    /// without it (pre-PR5 baselines) parse as strided.
+    /// The `packed` field survives a JSON round-trip, records without
+    /// it (pre-PR5 baselines) parse as strided, and old baseline rows
+    /// carrying a field this schema dropped still parse.
     #[test]
     fn packed_field_round_trips_and_defaults_false() {
         let r = rec("sr3", "gang", true, 64, 1.5e6);
@@ -666,6 +568,24 @@ mod tests {
         assert_eq!(parsed.len(), 1);
         assert!(!parsed[0].packed, "absent packed field parses as strided");
         assert_eq!(parsed[0].lane_cycles_per_s, 4000.0);
+        // A checked-in post-PR7 baseline row, which carries a field
+        // this schema no longer writes.
+        let row = include_str!("../baselines/post_pr7.json")
+            .lines()
+            .nth(1)
+            .expect("a baseline row");
+        assert!(
+            row.matches(':').count() > r.to_json().matches(':').count(),
+            "the old row carries a dropped field: {row}"
+        );
+        let parsed = parse_bench_json(row);
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].design, "sprng32");
+        assert_eq!(parsed[0].engine, "bsp");
+        assert_eq!(parsed[0].lanes, 1);
+        assert_eq!(parsed[0].cycles_per_s, 694325.5);
+        assert_eq!(parsed[0].exchange_s, 0.000198777);
+        assert_eq!(parsed[0].total_s, 0.000739553);
     }
 
     /// The `simd` tag survives a JSON round-trip, records without it
@@ -751,18 +671,6 @@ mod tests {
         let p2 = ipu_point(&c, 1472, &ipu);
         assert!(p2.tiles_used >= p1.tiles_used);
         assert!(p2.timings.comp <= p1.timings.comp);
-    }
-
-    #[test]
-    fn calibration_fits_a_usable_constant() {
-        let ipu = IpuConfig::m2000();
-        let cal = calibrate_offchip_spin(&ipu);
-        assert!(cal.spins_per_word >= 1);
-        assert!(cal.spins_per_word_exact > 0.0);
-        assert!(cal.spin_hz > 0.0);
-        assert!(cal.host_s_per_model_cycle > 0.0);
-        let cycles = cal.host_s_to_model_cycles(cal.host_s_per_model_cycle);
-        assert!((cycles - 1.0).abs() < 1e-12, "unit round-trip");
     }
 
     #[test]

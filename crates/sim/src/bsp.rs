@@ -30,9 +30,8 @@
 //! one double-buffered mailbox per producer→consumer tile pair, while
 //! *off-chip* channels are aggregated into one **wider mailbox per
 //! ordered chip pair**. Tiles fold onto worker threads **chip-major**,
-//! and each worker's off-chip traffic is flushed eagerly per tile so
-//! the modeled link transfer overlaps the remaining tiles' compute
-//! (the hidden portion is reported as [`BspPhases::overlap_s`]).
+//! and each worker flushes a tile's off-chip traffic right after that
+//! tile's compute (timed as [`BspPhases::offchip_s`]).
 //!
 //! The only synchronization in the steady-state loop is the two phase
 //! barriers: no locks are taken and no heap allocation occurs. Per-tile
@@ -59,8 +58,7 @@ pub struct TilePhases {
     /// on-chip mailbox pushes).
     pub compute_s: f64,
     /// Seconds flushing the tile's cross-chip traffic into the
-    /// chip-pair aggregate mailboxes (memory copies; the modeled link
-    /// occupancy is scheduled asynchronously and accounted per worker).
+    /// chip-pair aggregate mailboxes (memory copies).
     pub offchip_s: f64,
     /// Seconds applying staged port records to the tile's array copies.
     pub exchange_s: f64,
@@ -87,19 +85,12 @@ pub struct BspPhases {
     /// Seconds the straggler worker spent in computation phases
     /// (step programs, register latches, on-chip mailbox pushes).
     pub compute_s: f64,
-    /// Seconds the straggler worker spent on cross-chip traffic: the
-    /// flush copies plus the *residual* modeled link wait that the
-    /// flush/compute overlap could not hide (zero on single-chip
-    /// partitions).
+    /// Seconds the straggler worker spent copying cross-chip traffic
+    /// into the chip-pair mailboxes (zero on single-chip partitions).
     pub offchip_s: f64,
     /// Seconds the straggler worker spent in communication phases:
     /// record application plus both barrier waits.
     pub exchange_s: f64,
-    /// Modeled off-chip link seconds hidden under subsequent tile
-    /// compute by the eager flush — the time the flush/compute overlap
-    /// recovered versus a serialized flush (zero when the spin model is
-    /// off or nothing overlapped).
-    pub overlap_s: f64,
     /// Per-tile phase split, indexed by tile — the measured counterpart
     /// of the Fig. 6 straggler histograms, populated for single-lane
     /// *and* gang runs.
@@ -123,7 +114,6 @@ impl Default for BspPhases {
             compute_s: 0.0,
             offchip_s: 0.0,
             exchange_s: 0.0,
-            overlap_s: 0.0,
             per_tile: Vec::new(),
             cycles: 0,
             lanes: 1,
@@ -278,16 +268,6 @@ impl<'c> BspSimulator<'c> {
     /// partitions).
     pub fn offchip_channels(&self) -> usize {
         self.core.channels() - self.core.onchip_mailboxes
-    }
-
-    /// Sets the artificial per-word delay (in spin-loop iterations)
-    /// charged to the modeled off-chip link while flushing cross-chip
-    /// mailboxes. The link is asynchronous: its occupancy overlaps the
-    /// worker's remaining tile compute, and only the residual is waited
-    /// out (see [`BspPhases::overlap_s`]). Functional results are
-    /// unaffected. Takes effect from the next [`run`](Self::run).
-    pub fn set_offchip_spin_per_word(&mut self, spins: u32) {
-        self.core.set_offchip_spin(spins);
     }
 
     /// Drives an input (held until changed).

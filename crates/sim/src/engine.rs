@@ -28,7 +28,7 @@
 //!   of truth for semantics at every width.
 //!
 //! Every `PARENDI_*` environment knob the engine (and the bench bins)
-//! reads — SIMD, spin budget, tracing, checkpointing, and the rest
+//! reads — SIMD, tracing, checkpointing, and the rest
 //! — is cataloged with defaults and interactions in `docs/ENVVARS.md`
 //! at the repository root.
 //!
@@ -102,7 +102,7 @@
 
 use crate::exec::Code;
 use crate::simd::VecIsa;
-use parendi_core::routing::{ChannelClass, Routing, PORT_RECORD_HEADER_WORDS};
+use parendi_core::routing::{ChannelClass, Routing};
 use parendi_core::Partition;
 use parendi_rtl::bits::{top_word_mask, word, words_for};
 use parendi_rtl::{BinOp, Circuit, InputId, NodeKind, UnOp};
@@ -175,13 +175,8 @@ impl PhaseBarrier {
             .map(|c| c.get())
             .unwrap_or(1);
         // `n > cores` means at least one waiter would spin on a core the
-        // last arriver needs: skip straight to parking. `PARENDI_SPIN_LIMIT`
-        // overrides the spin budget either way — raise it on big multicore
-        // boxes where cycles are short, set it to 0 to force parking.
-        let spin_limit = std::env::var("PARENDI_SPIN_LIMIT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if n <= cores { 1 << 14 } else { 0 });
+        // last arriver needs: skip straight to parking.
+        let spin_limit = if n <= cores { 1 << 14 } else { 0 };
         let fanout = if n <= TREE_THRESHOLD {
             n.max(1)
         } else {
@@ -454,10 +449,6 @@ pub(crate) struct Program {
     pub applies: Vec<Apply>,
     /// Primary outputs this tile computes: `(output id, arena offset)`.
     pub outputs: Vec<(u32, u32)>,
-    /// Single-lane *strided* words this tile flushes across chip
-    /// boundaries per cycle (register sends plus full port records) —
-    /// charged to the modeled link once per active lane.
-    pub offchip_words: u64,
     /// Words of the tile's packed scratch arena (packed mode only).
     pub packed_words: usize,
     /// Packed 1-bit register latches.
@@ -466,10 +457,6 @@ pub(crate) struct Program {
     pub packed_sends: Vec<PackedSend>,
     /// Packed register sends crossing chips (off-chip flush).
     pub offchip_packed_sends: Vec<PackedSend>,
-    /// Total packed words flushed across chip boundaries per cycle —
-    /// already covers every lane (a packed word carries 64 of them), so
-    /// the modeled link charges it once, not per lane.
-    pub offchip_packed_words: u64,
     /// 1-bit constants the packed domain consumes: `(arena offset,
     /// packed slot)` transposed once at engine init, never per cycle.
     pub const_packs: Vec<(u32, u32)>,
@@ -1539,12 +1526,6 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
         }
     }
 
-    let offchip_words = offchip_sends.iter().map(|s| s.nw as u64).sum::<u64>()
-        + offchip_port_sends
-            .iter()
-            .map(|ps| (PORT_RECORD_HEADER_WORDS + ps.nw) as u64 * ps.dests.len() as u64)
-            .sum::<u64>();
-
     // Lower to bytecode. In packed mode the lowering routes eligible
     // 1-bit computation through the packed arena and returns where each
     // packed net landed, which resolves the raw packed commits/sends.
@@ -1595,7 +1576,6 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
     };
     let packed_sends = resolve_sends(&raw_packed_sends);
     let offchip_packed_sends = resolve_sends(&raw_offchip_packed_sends);
-    let offchip_packed_words = offchip_packed_sends.len() as u64 * pw as u64;
 
     Program {
         code,
@@ -1609,12 +1589,10 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
         offchip_port_sends,
         applies,
         outputs,
-        offchip_words,
         packed_words,
         packed_commits,
         packed_sends,
         offchip_packed_sends,
-        offchip_packed_words,
         const_packs,
     }
 }

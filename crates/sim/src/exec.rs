@@ -107,15 +107,15 @@
 //! paths. In the lane-major layout every fused opcode keeps the
 //! original strided scalar sweep regardless of ISA.
 //!
-//! # Flush/compute overlap
+//! # Eager off-chip flush
 //!
-//! The off-chip flush models an asynchronous gateway link: as soon as a
-//! tile's compute finishes, its cross-chip words are copied into the
-//! epoch-`c+1` aggregate mailbox (legal under the double-buffer epoch
-//! discipline) and the *modeled* link occupancy is scheduled as a
-//! deadline; the worker keeps computing its remaining tiles and only
-//! spins out the residual link time it failed to hide before barrier 1.
-//! The hidden portion is reported as [`BspPhases::overlap_s`].
+//! As soon as a tile's compute finishes, its cross-chip words are
+//! copied into the epoch-`c+1` chip-pair aggregate mailboxes, before
+//! the worker moves on to its next tile. This is legal under the
+//! double-buffer epoch discipline: those segments have no reader until
+//! after barrier 1. The copies are real host work, timed per tile into
+//! the off-chip column ([`BspPhases::offchip_s`],
+//! [`TilePhases::offchip_s`]).
 
 use crate::bsp::{BspPhases, TilePhases};
 use crate::checkpoint::{auto_checkpoint_from_env, Fingerprint, Snapshot, SnapshotError};
@@ -136,12 +136,11 @@ use parendi_telemetry::{
 };
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::marker::PhantomData;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Opcode namespace of the flat bytecode. The low 8 bits of an
 /// [`Code::ops`] word select the opcode; the upper 24 bits are an
@@ -1312,8 +1311,6 @@ fn lower_step(ctx: &mut LowerCtx, packed: bool, step: &Step) {
 /// ([`AllLanes`]) runs a dense counted loop, and early-exited gangs
 /// ([`LaneList`]) skip finished lanes at dispatch granularity.
 pub(crate) trait LaneSet: Copy {
-    /// Number of lanes swept.
-    fn count(&self) -> usize;
     /// Calls `f` once per active lane index.
     fn for_each(&self, f: impl FnMut(usize));
     /// Calls `f(start, len)` once per maximal run of **consecutive**
@@ -1330,10 +1327,6 @@ pub(crate) struct OneLane;
 
 impl LaneSet for OneLane {
     #[inline(always)]
-    fn count(&self) -> usize {
-        1
-    }
-    #[inline(always)]
     fn for_each(&self, mut f: impl FnMut(usize)) {
         f(0);
     }
@@ -1348,10 +1341,6 @@ impl LaneSet for OneLane {
 pub(crate) struct AllLanes(pub usize);
 
 impl LaneSet for AllLanes {
-    #[inline(always)]
-    fn count(&self) -> usize {
-        self.0
-    }
     #[inline(always)]
     fn for_each(&self, mut f: impl FnMut(usize)) {
         for l in 0..self.0 {
@@ -1369,10 +1358,6 @@ impl LaneSet for AllLanes {
 pub(crate) struct LaneList<'a>(pub &'a [u32]);
 
 impl LaneSet for LaneList<'_> {
-    #[inline(always)]
-    fn count(&self) -> usize {
-        self.0.len()
-    }
     #[inline(always)]
     fn for_each(&self, mut f: impl FnMut(usize)) {
         for &l in self.0 {
@@ -2368,9 +2353,7 @@ fn stage_port_record<L: LaneSet, Y: Layout>(
 }
 
 /// Off-chip flush for one tile at cycle `c`, all active lanes: pure
-/// memory copies into the epoch-`c+1` chip-pair aggregates. The modeled
-/// link occupancy is scheduled by the caller (see the worker loop) so
-/// the transfer can overlap subsequent tile compute.
+/// memory copies into the epoch-`c+1` chip-pair aggregates.
 #[allow(clippy::too_many_arguments)]
 fn offchip_flush<L: LaneSet, Y: Layout>(
     prog: &Program,
@@ -2471,27 +2454,6 @@ fn exchange_phase<L: LaneSet, Y: Layout>(
     }
 }
 
-/// Host nanoseconds per `spin_loop` iteration, measured once per
-/// process (used to convert the off-chip spin knob into a modeled link
-/// deadline the flush/compute overlap can schedule against).
-fn ns_per_spin() -> f64 {
-    static SPIN_NS: OnceLock<f64> = OnceLock::new();
-    *SPIN_NS.get_or_init(|| {
-        let mut iters = 1u64 << 18;
-        loop {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::spin_loop();
-            }
-            let s = t.elapsed();
-            if s.as_millis() >= 5 || iters >= 1 << 28 {
-                return s.as_nanos() as f64 / iters as f64;
-            }
-            iters *= 4;
-        }
-    })
-}
-
 /// State shared between the engine facades and the worker pool.
 struct CoreShared {
     programs: Vec<Program>,
@@ -2533,10 +2495,9 @@ struct CoreShared {
     cmd_start: AtomicU64,
     cmd_timed: AtomicBool,
     exit: AtomicBool,
-    offchip_spin: AtomicU32,
-    /// Per-worker (compute, offchip, exchange, overlap) ns of the last
-    /// timed run.
-    phase_ns: Vec<Mutex<(u64, u64, u64, u64)>>,
+    /// Per-worker-slot (compute, offchip, exchange) ns of the last
+    /// timed run (slot 0 doubles as the inline no-pool path's slot).
+    phase_ns: Vec<Mutex<(u64, u64, u64)>>,
     /// Per-tile (compute, offchip, exchange) ns of the last timed run.
     tile_ns: Vec<Mutex<(u64, u64, u64)>>,
     /// The engine's metrics registry (one per compiled engine).
@@ -2577,7 +2538,6 @@ struct PhaseAcc {
     comp: u64,
     off: u64,
     exch: u64,
-    overlap: u64,
 }
 
 /// One worker's per-run tracing state: its track buffer, the sink
@@ -2917,9 +2877,8 @@ impl<'c> EngineCore<'c> {
             cmd_start: AtomicU64::new(0),
             cmd_timed: AtomicBool::new(false),
             exit: AtomicBool::new(false),
-            offchip_spin: AtomicU32::new(0),
             phase_ns: (0..worker_count.max(1))
-                .map(|_| Mutex::new((0, 0, 0, 0)))
+                .map(|_| Mutex::new((0, 0, 0)))
                 .collect(),
             tile_ns: (0..tile_count).map(|_| Mutex::new((0, 0, 0))).collect(),
             metrics,
@@ -2992,10 +2951,6 @@ impl<'c> EngineCore<'c> {
 
     pub(crate) fn channels(&self) -> usize {
         self.shared.channels.len()
-    }
-
-    pub(crate) fn set_offchip_spin(&self, spins: u32) {
-        self.shared.offchip_spin.store(spins, Ordering::Relaxed);
     }
 
     /// Total bytes that crossed a chip boundary so far (one whole pair
@@ -3654,94 +3609,47 @@ impl<'c> EngineCore<'c> {
                 ..BspPhases::default()
             };
         }
+        let sh = &self.shared;
+        if self.workers.is_empty() {
+            let mine: Vec<usize> = (0..sh.tiles.len()).collect();
+            run_group(sh, 0, &mine, self.cycle, cycles, timed);
+        } else {
+            sh.cmd_cycles.store(cycles, Ordering::SeqCst);
+            sh.cmd_start.store(self.cycle, Ordering::SeqCst);
+            sh.cmd_timed.store(timed, Ordering::SeqCst);
+            sh.gate.wait();
+            sh.done.wait();
+        }
         let mut acc = PhaseAcc::default();
         let mut per_tile = Vec::new();
-        if self.workers.is_empty() {
-            let shared = &self.shared;
-            let spin = shared.offchip_spin.load(Ordering::Relaxed);
-            let inputs = shared.inputs.read().unwrap();
-            let active = shared.active.read().unwrap();
-            let mine: Vec<usize> = (0..shared.tiles.len()).collect();
-            let mut guards: Vec<_> = shared.tiles.iter().map(|t| t.lock().unwrap()).collect();
-            // Untimed runs skip the per-tile histogram entirely: no
-            // allocation, and (tracing off) no clock reads either.
-            let mut tile_ns = if timed {
-                vec![(0u64, 0u64, 0u64); guards.len()]
-            } else {
-                Vec::new()
-            };
-            let tracer = shared
-                .trace
-                .as_ref()
-                .map(|sink| Tracer::new(&shared.trace_bufs[0], sink));
-            dispatch_lanes(shared, &active, |lanes| {
-                run_cycles(
-                    shared,
-                    &mine,
-                    &mut guards,
-                    &inputs,
-                    self.cycle,
-                    cycles,
-                    timed,
-                    spin,
-                    lanes,
-                    0,
-                    &mut tile_ns,
-                    &mut acc,
-                    tracer.as_ref(),
-                )
-            });
-            if timed {
-                per_tile = tile_ns
-                    .iter()
-                    .map(|&(c, o, e)| TilePhases {
+        if timed {
+            // Straggler = the worker with the most real work (compute +
+            // flush). Totals can't rank workers: barrier waits absorb
+            // the slack, equalizing every worker's span up to wakeup
+            // jitter. `>=` so a lone slot (the inline path) is always
+            // taken.
+            for slot in &sh.phase_ns {
+                let (comp, off, exch) = *slot.lock().unwrap();
+                if comp + off >= acc.comp + acc.off {
+                    acc = PhaseAcc { comp, off, exch };
+                }
+            }
+            per_tile = sh
+                .tile_ns
+                .iter()
+                .map(|slot| {
+                    let (c, o, e) = *slot.lock().unwrap();
+                    TilePhases {
                         compute_s: c as f64 * 1e-9,
                         offchip_s: o as f64 * 1e-9,
                         exchange_s: e as f64 * 1e-9,
-                    })
-                    .collect();
-            }
-        } else {
-            self.shared.cmd_cycles.store(cycles, Ordering::SeqCst);
-            self.shared.cmd_start.store(self.cycle, Ordering::SeqCst);
-            self.shared.cmd_timed.store(timed, Ordering::SeqCst);
-            self.shared.gate.wait();
-            self.shared.done.wait();
-            if timed {
-                // Straggler = the worker with the most real work
-                // (compute + flush). Totals can't rank workers: barrier
-                // waits absorb the slack, equalizing every worker's
-                // span up to wakeup jitter.
-                for slot in &self.shared.phase_ns {
-                    let (c, o, e, v) = *slot.lock().unwrap();
-                    if c + o > acc.comp + acc.off {
-                        acc = PhaseAcc {
-                            comp: c,
-                            off: o,
-                            exch: e,
-                            overlap: v,
-                        };
                     }
-                }
-                per_tile = self
-                    .shared
-                    .tile_ns
-                    .iter()
-                    .map(|slot| {
-                        let (c, o, e) = *slot.lock().unwrap();
-                        TilePhases {
-                            compute_s: c as f64 * 1e-9,
-                            offchip_s: o as f64 * 1e-9,
-                            exchange_s: e as f64 * 1e-9,
-                        }
-                    })
-                    .collect();
-            }
+                })
+                .collect();
         }
         self.cycle += cycles;
         // Run-level metric credits: static op mix and off-chip layout
         // × cycles (prelude once per run), all off the hot path.
-        let sh = &self.shared;
         sh.ctrs.cycles.add(cycles);
         sh.ctrs
             .offchip_bytes
@@ -3763,7 +3671,6 @@ impl<'c> EngineCore<'c> {
             compute_s: acc.comp as f64 * 1e-9,
             offchip_s: acc.off as f64 * 1e-9,
             exchange_s: acc.exch as f64 * 1e-9,
-            overlap_s: acc.overlap as f64 * 1e-9,
             per_tile,
             cycles,
             lanes: active_count,
@@ -3807,7 +3714,6 @@ fn merge_phases(agg: &mut Option<BspPhases>, ph: BspPhases) {
     acc.compute_s += ph.compute_s;
     acc.offchip_s += ph.offchip_s;
     acc.exchange_s += ph.exchange_s;
-    acc.overlap_s += ph.overlap_s;
     acc.cycles += ph.cycles;
     acc.lanes = ph.lanes;
     if acc.per_tile.len() == ph.per_tile.len() {
@@ -3821,135 +3727,79 @@ fn merge_phases(agg: &mut Option<BspPhases>, ph: BspPhases) {
     }
 }
 
-/// Picks the cheapest [`LaneSet`] for the current active-lane list,
-/// pairs it with the gang's [`Layout`], and hands the monomorphized
-/// pair to `f` (single lane, dense gang, or early-exited gang — each in
+/// Runs worker slot `slot`'s tile group `mine` for `cycles` cycles from
+/// `start` — the one entry into [`cycle_loop`], shared by the inline
+/// (no-pool) path and every pool worker. Picks the cheapest [`LaneSet`]
+/// for the current active-lane list and pairs it with the gang's
+/// [`Layout`] (single lane, dense gang, or early-exited gang — each in
 /// lane-major or word-interleaved form).
-fn dispatch_lanes<R>(shared: &CoreShared, active: &[u32], f: impl FnOnce(&dyn DynLanes) -> R) -> R {
+fn run_group(
+    shared: &CoreShared,
+    slot: usize,
+    mine: &[usize],
+    start: u64,
+    cycles: u64,
+    timed: bool,
+) {
+    let active = shared.active.read().unwrap();
     if shared.lanes == 1 && active.len() == 1 {
         // A single-lane gang is lane-major by construction (the two
         // layouts coincide at stride 1).
-        f(&Run::<_, LaneMajor>(OneLane, PhantomData))
+        cycle_loop::<_, LaneMajor>(shared, slot, mine, start, cycles, timed, OneLane)
     } else if active.len() == shared.lanes {
+        let all = AllLanes(shared.lanes);
         if shared.word_major {
-            f(&Run::<_, WordMajor>(AllLanes(shared.lanes), PhantomData))
+            cycle_loop::<_, WordMajor>(shared, slot, mine, start, cycles, timed, all)
         } else {
-            f(&Run::<_, LaneMajor>(AllLanes(shared.lanes), PhantomData))
+            cycle_loop::<_, LaneMajor>(shared, slot, mine, start, cycles, timed, all)
         }
     } else if shared.word_major {
-        f(&Run::<_, WordMajor>(LaneList(active), PhantomData))
+        cycle_loop::<_, WordMajor>(shared, slot, mine, start, cycles, timed, LaneList(&active))
     } else {
-        f(&Run::<_, LaneMajor>(LaneList(active), PhantomData))
+        cycle_loop::<_, LaneMajor>(shared, slot, mine, start, cycles, timed, LaneList(&active))
     }
 }
 
-/// Object-safe shim over [`LaneSet`] so the run dispatch can pick an
-/// implementation at runtime while the cycle loop itself stays
-/// monomorphized (the `dyn` call happens once per run, not per op).
-trait DynLanes {
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &self,
-        shared: &CoreShared,
-        mine: &[usize],
-        guards: &mut [MutexGuard<'_, LaneTile>],
-        inputs: &[u64],
-        start: u64,
-        cycles: u64,
-        timed: bool,
-        spin: u32,
-        who: usize,
-        tile_ns: &mut [(u64, u64, u64)],
-        acc: &mut PhaseAcc,
-        tracer: Option<&Tracer<'_>>,
-    );
-}
-
-/// A `(LaneSet, Layout)` pair: the unit the run dispatch monomorphizes
-/// the cycle loop over.
-struct Run<L, Y>(L, PhantomData<Y>);
-
-impl<L: LaneSet, Y: Layout> DynLanes for Run<L, Y> {
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &self,
-        shared: &CoreShared,
-        mine: &[usize],
-        guards: &mut [MutexGuard<'_, LaneTile>],
-        inputs: &[u64],
-        start: u64,
-        cycles: u64,
-        timed: bool,
-        spin: u32,
-        who: usize,
-        tile_ns: &mut [(u64, u64, u64)],
-        acc: &mut PhaseAcc,
-        tracer: Option<&Tracer<'_>>,
-    ) {
-        cycle_loop::<L, Y>(
-            shared, mine, guards, inputs, start, cycles, timed, spin, self.0, who, tile_ns, acc,
-            tracer,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cycles(
-    shared: &CoreShared,
-    mine: &[usize],
-    guards: &mut [MutexGuard<'_, LaneTile>],
-    inputs: &[u64],
-    start: u64,
-    cycles: u64,
-    timed: bool,
-    spin: u32,
-    lanes: &dyn DynLanes,
-    who: usize,
-    tile_ns: &mut [(u64, u64, u64)],
-    acc: &mut PhaseAcc,
-    tracer: Option<&Tracer<'_>>,
-) {
-    lanes.run(
-        shared, mine, guards, inputs, start, cycles, timed, spin, who, tile_ns, acc, tracer,
-    );
-}
-
-/// **The** shared cycle loop: computes this worker's tiles, eagerly
-/// flushes each tile's off-chip traffic so the modeled link transfer
-/// overlaps the remaining tiles' compute, pays only the residual link
-/// time before barrier 1, then applies the exchange after it. Used
-/// verbatim by pool workers and the inline (no-pool) path — barrier
-/// waits degenerate to no-ops when the pool is one wide.
-#[allow(clippy::too_many_arguments)]
+/// **The** shared cycle loop, monomorphized per lane set and layout:
+/// computes this worker's tiles, eagerly flushes each tile's off-chip
+/// traffic right after its compute, then applies the exchange after
+/// barrier 1. Barrier waits degenerate to no-ops when the pool is one
+/// wide. Timed runs write the slot's phase split to `phase_ns[slot]`
+/// and its tiles' splits to `tile_ns`.
 fn cycle_loop<L: LaneSet, Y: Layout>(
     shared: &CoreShared,
+    slot: usize,
     mine: &[usize],
-    guards: &mut [MutexGuard<'_, LaneTile>],
-    inputs: &[u64],
     start: u64,
     cycles: u64,
     timed: bool,
-    spin: u32,
     lanes: L,
-    who: usize,
-    tile_ns: &mut [(u64, u64, u64)],
-    acc: &mut PhaseAcc,
-    tracer: Option<&Tracer<'_>>,
 ) {
+    // One lock per tile per run; the steady-state cycle loop acquires
+    // no locks and allocates nothing.
+    let inputs = shared.inputs.read().unwrap();
+    let inputs: &[u64] = &inputs;
+    let mut guards: Vec<_> = mine
+        .iter()
+        .map(|&pi| shared.tiles[pi].lock().unwrap())
+        .collect();
+    let mut acc = PhaseAcc::default();
+    // Untimed runs skip the per-tile histogram allocation entirely;
+    // `tile_ns` is only indexed under `timed`.
+    let mut tile_ns = if timed {
+        vec![(0u64, 0u64, 0u64); mine.len()]
+    } else {
+        Vec::new()
+    };
+    let tracer = shared
+        .trace
+        .as_ref()
+        .map(|sink| Tracer::new(&shared.trace_bufs[slot], sink));
+    let tracer = tracer.as_ref();
     // Timed runs and traced runs share the chained clock reads; the
     // per-tile histogram (`tile_ns`, empty unless timed) and the trace
     // spans are fed from the same timestamps.
     let instr = timed || tracer.is_some();
-    let any_off = mine.iter().any(|&pi| shared.programs[pi].has_offchip());
-    // Modeled link nanoseconds per flushed word (the spin knob converted
-    // into wall time so the transfer can be scheduled asynchronously).
-    // Strided words cross once per active lane; packed words already
-    // carry 64 lanes each and cross once.
-    let spin_ns = if any_off && spin > 0 {
-        spin as f64 * ns_per_spin()
-    } else {
-        0.0
-    };
     let pw = shared.pw;
     // The packed retire mask is stable for the whole run (finish_lane
     // needs `&mut` on the facade, which run_inner holds). All-live
@@ -3986,10 +3836,6 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
     }
     for c in start..start + cycles {
         let mut mark = instr.then(Instant::now);
-        // The modeled link-transfer deadline and the total occupancy
-        // scheduled this cycle (for the overlap accounting).
-        let mut link_due: Option<Instant> = None;
-        let mut link_total_ns = 0u64;
         for (k, (guard, &pi)) in guards.iter_mut().zip(mine).enumerate() {
             let prog = &shared.programs[pi];
             compute_phase::<L, Y>(
@@ -4023,9 +3869,7 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
             }
             if prog.has_offchip() {
                 // Eager flush: the epoch-c+1 aggregate segments have no
-                // reader until after barrier 1, so copying now is legal
-                // and lets the modeled transfer overlap the remaining
-                // tiles' compute.
+                // reader until after barrier 1, so copying now is legal.
                 offchip_flush::<L, Y>(
                     prog,
                     guard,
@@ -4036,15 +3880,6 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
                     pw,
                     mask,
                 );
-                if spin_ns > 0.0 {
-                    let words = prog.offchip_words as f64 * lanes.count() as f64
-                        + prog.offchip_packed_words as f64;
-                    let ns = (words * spin_ns) as u64;
-                    let now = Instant::now();
-                    let base = link_due.map_or(now, |d| d.max(now));
-                    link_due = Some(base + Duration::from_nanos(ns));
-                    link_total_ns += ns;
-                }
                 if let Some(m) = mark {
                     let now = Instant::now();
                     if timed {
@@ -4059,36 +3894,12 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
                 }
             }
         }
-        // Residual link wait: whatever the remaining compute did not
-        // hide. The hidden part is the recovered overlap.
-        if let Some(due) = link_due {
-            let now = Instant::now();
-            if due > now {
-                let wait = due.duration_since(now).as_nanos() as u64;
-                while Instant::now() < due {
-                    std::hint::spin_loop();
-                }
-                if timed {
-                    acc.off += wait;
-                    acc.overlap += link_total_ns.saturating_sub(wait);
-                }
-                if let Some(m) = mark {
-                    let end = m + Duration::from_nanos(wait);
-                    if let Some(tr) = tracer {
-                        tr.seg(SpanKind::OverlapResidual, NO_TILE, c, m, end);
-                    }
-                    mark = Some(end);
-                }
-            } else if timed {
-                acc.overlap += link_total_ns;
-            }
-        }
         // exchange_s starts *before* barrier 1 so the straggler wait —
         // the measured `t_sync` — lands in the exchange column,
         // matching the BspPhases contract.
         let exch_start = mark;
         // Barrier 1: all mailboxes for epoch c+1 are filled.
-        shared.phase_barrier.wait(who);
+        shared.phase_barrier.wait(slot);
         let mut emark = instr.then(Instant::now);
         if let (Some(tr), Some(s), Some(e)) = (tracer, exch_start, emark) {
             tr.seg(SpanKind::BarrierWait, NO_TILE, c, s, e);
@@ -4114,7 +3925,7 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
             }
         }
         // Barrier 2: every array copy has applied the records.
-        shared.phase_barrier.wait(who);
+        shared.phase_barrier.wait(slot);
         if let Some(t) = exch_start {
             let now = Instant::now();
             if timed {
@@ -4128,6 +3939,12 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
     if let Some(tr) = tracer {
         tr.finish();
     }
+    if timed {
+        *shared.phase_ns[slot].lock().unwrap() = (acc.comp, acc.off, acc.exch);
+        for (&pi, &ns) in mine.iter().zip(&tile_ns) {
+            *shared.tile_ns[pi].lock().unwrap() = ns;
+        }
+    }
 }
 
 /// The persistent worker entry (abort-on-panic: a hung barrier would
@@ -4140,9 +3957,8 @@ fn worker_loop(shared: &CoreShared, t: usize, mine: Vec<usize>) {
     }
 }
 
-/// The worker run loop: park at the gate, execute a run over this
-/// worker's chip-major tile group `mine` through the shared
-/// [`cycle_loop`], report.
+/// The worker run loop: park at the gate, run this worker's chip-major
+/// tile group `mine` through [`run_group`], report.
 fn worker_body(shared: &CoreShared, t: usize, mine: &[usize]) {
     loop {
         shared.gate.wait();
@@ -4152,52 +3968,7 @@ fn worker_body(shared: &CoreShared, t: usize, mine: &[usize]) {
         let cycles = shared.cmd_cycles.load(Ordering::SeqCst);
         let start = shared.cmd_start.load(Ordering::SeqCst);
         let timed = shared.cmd_timed.load(Ordering::SeqCst);
-        let spin = shared.offchip_spin.load(Ordering::Relaxed);
-        {
-            // One lock per tile per run; the steady-state cycle loop
-            // acquires no locks and allocates nothing.
-            let inputs = shared.inputs.read().unwrap();
-            let active = shared.active.read().unwrap();
-            let mut guards: Vec<_> = mine
-                .iter()
-                .map(|&pi| shared.tiles[pi].lock().unwrap())
-                .collect();
-            let mut acc = PhaseAcc::default();
-            // Untimed runs skip the per-tile histogram allocation
-            // entirely; `tile_ns` is only indexed under `timed`.
-            let mut tile_ns = if timed {
-                vec![(0u64, 0u64, 0u64); mine.len()]
-            } else {
-                Vec::new()
-            };
-            let tracer = shared
-                .trace
-                .as_ref()
-                .map(|sink| Tracer::new(&shared.trace_bufs[t], sink));
-            dispatch_lanes(shared, &active, |lanes| {
-                run_cycles(
-                    shared,
-                    mine,
-                    &mut guards,
-                    &inputs,
-                    start,
-                    cycles,
-                    timed,
-                    spin,
-                    lanes,
-                    t,
-                    &mut tile_ns,
-                    &mut acc,
-                    tracer.as_ref(),
-                )
-            });
-            if timed {
-                *shared.phase_ns[t].lock().unwrap() = (acc.comp, acc.off, acc.exch, acc.overlap);
-                for (k, &pi) in mine.iter().enumerate() {
-                    *shared.tile_ns[pi].lock().unwrap() = tile_ns[k];
-                }
-            }
-        }
+        run_group(shared, t, mine, start, cycles, timed);
         shared.done.wait();
     }
 }

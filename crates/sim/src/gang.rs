@@ -23,7 +23,7 @@
 //! word-interleaved gangs, the runtime-dispatched SIMD kernels sweeping
 //! several lanes per step — so the engines cannot diverge semantically.
 //! The exchange structure is identical across lanes: mailbox epochs,
-//! the off-chip flush (with the modeled link charged `L×` the words),
+//! the off-chip flush (every active lane's words copied),
 //! worker groups, and the two-barrier cycle all carry over verbatim.
 //!
 //! # Per-lane I/O
@@ -339,14 +339,6 @@ impl<'c> GangSimulator<'c> {
     /// partitions).
     pub fn offchip_channels(&self) -> usize {
         self.core.channels() - self.core.onchip_mailboxes
-    }
-
-    /// Sets the artificial per-word delay (in spin-loop iterations)
-    /// charged to the modeled off-chip link. The gang flush charges it
-    /// per active lane per word — every lane's traffic crosses the
-    /// modeled link. Functional results are unaffected.
-    pub fn set_offchip_spin_per_word(&mut self, spins: u32) {
-        self.core.set_offchip_spin(spins);
     }
 
     /// Drives an input in **one lane** (held until changed).

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::random_circuit;
+use common::{assert_layers_add_up, random_circuit};
 use parendi_core::{compile, MultiChipStrategy, PartitionConfig, Strategy};
 use parendi_rtl::{Builder, Circuit, RegId};
 use parendi_sim::{BspSimulator, Simulator};
@@ -158,8 +158,8 @@ fn long_runs_across_thread_pool_shapes() {
 /// strategies) must stay bit-identical to the reference across every
 /// pool width — the chip-group worker layout, the per-chip-pair
 /// aggregate mailboxes, and the off-chip flush sub-phase are exercised
-/// here, with the artificial off-chip delay engaged to prove it never
-/// affects functional results.
+/// here. A one-worker timed run's phase columns must also equal the
+/// sums of its per-tile columns: the layers add up.
 #[test]
 fn multi_chip_worker_groups_are_equivalent() {
     for seed in [7u64, 42] {
@@ -180,7 +180,6 @@ fn multi_chip_worker_groups_are_equivalent() {
                             "cross-chip traffic must ride aggregate mailboxes"
                         );
                     }
-                    bsp.set_offchip_spin_per_word(8);
                     reference.step_n(50);
                     let ph = bsp.run_timed(50);
                     assert_eq!(
@@ -188,6 +187,9 @@ fn multi_chip_worker_groups_are_equivalent() {
                         comp.partition.tiles_used() as usize,
                         "timed runs report one histogram entry per tile"
                     );
+                    if threads == 1 {
+                        assert_layers_add_up(&ph);
+                    }
                     for i in 0..c.regs.len() {
                         assert_eq!(
                             bsp.reg_value(RegId(i as u32)),

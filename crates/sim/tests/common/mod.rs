@@ -1,6 +1,8 @@
-//! Shared random-circuit generator for integration tests.
+//! Shared random-circuit generator and timing checks for integration
+//! tests.
 
 use parendi_rtl::{Builder, Circuit, Signal};
+use parendi_sim::BspPhases;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,6 +22,25 @@ pub fn random_circuit(seed: u64, regs: usize, ops: usize) -> Circuit {
 pub fn random_circuit_io(seed: u64, regs: usize, ops: usize, inputs: usize) -> Circuit {
     assert!(inputs > 0, "use random_circuit for the input-free variant");
     random_circuit_inner(seed, regs, ops, inputs)
+}
+
+/// One worker's timed `compute_s` and `offchip_s` each equal the sum
+/// of the matching `per_tile` column, within 1 ns per tile.
+#[allow(dead_code)]
+pub fn assert_layers_add_up(ph: &BspPhases) {
+    let tol = 1e-9 * ph.per_tile.len() as f64;
+    let compute: f64 = ph.per_tile.iter().map(|t| t.compute_s).sum();
+    let offchip: f64 = ph.per_tile.iter().map(|t| t.offchip_s).sum();
+    assert!(
+        (ph.compute_s - compute).abs() <= tol,
+        "compute_s {} != per-tile sum {compute}",
+        ph.compute_s
+    );
+    assert!(
+        (ph.offchip_s - offchip).abs() <= tol,
+        "offchip_s {} != per-tile sum {offchip}",
+        ph.offchip_s
+    );
 }
 
 fn random_circuit_inner(seed: u64, regs: usize, ops: usize, inputs: usize) -> Circuit {

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::random_circuit_io;
+use common::{assert_layers_add_up, random_circuit_io};
 use parendi_core::{compile, PartitionConfig};
 use parendi_rtl::bits::Bits;
 use parendi_rtl::{Builder, RegId};
@@ -188,7 +188,9 @@ fn early_exit_raises_throughput() {
 
 /// Gang timed runs now report per-tile phase histograms (they were
 /// empty on the old gang engine): one entry per tile, with nonzero
-/// compute somewhere.
+/// compute somewhere. With one worker, the run's `compute_s` and
+/// `offchip_s` each equal the sum of the matching per-tile column,
+/// within 1 ns per tile.
 #[test]
 fn gang_timed_runs_populate_per_tile_histograms() {
     let c = random_circuit_io(9, 10, 50, 2);
@@ -197,7 +199,6 @@ fn gang_timed_runs_populate_per_tile_histograms() {
     let comp = compile(&c, &cfg).expect("compiles");
     for threads in [1usize, 3] {
         let mut gang = GangSimulator::new(&c, &comp.partition, threads, 4);
-        gang.set_offchip_spin_per_word(4);
         gang.run(10);
         let ph = gang.run_timed(30);
         assert_eq!(
@@ -209,5 +210,8 @@ fn gang_timed_runs_populate_per_tile_histograms() {
             ph.per_tile.iter().any(|t| t.compute_s > 0.0),
             "some tile computed for a nonzero time"
         );
+        if threads == 1 {
+            assert_layers_add_up(&ph);
+        }
     }
 }

@@ -117,8 +117,7 @@ fn gang_matrix_matches_reference_per_lane() {
 
 /// Without inputs the lanes never diverge: every lane must equal the
 /// single reference bit-for-bit (the lane-strided layout itself is
-/// what's under test here, including the off-chip flush with the spin
-/// delay engaged).
+/// what's under test here, including the off-chip flush).
 #[test]
 fn input_free_gang_lanes_all_match_reference() {
     let c = random_circuit(7, 12, 60);
@@ -127,7 +126,6 @@ fn input_free_gang_lanes_all_match_reference() {
     let comp = compile(&c, &cfg).expect("compiles");
     let mut reference = Simulator::new(&c);
     let mut gang = GangSimulator::new(&c, &comp.partition, 4, 8);
-    gang.set_offchip_spin_per_word(8);
     reference.step_n(60);
     gang.run(60);
     for lane in 0..8 {

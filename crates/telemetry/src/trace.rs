@@ -137,23 +137,19 @@ pub enum SpanKind {
     /// Copying a tile's off-chip send segments into the pair
     /// aggregates.
     OffchipFlush = 1,
-    /// The modeled link residual the worker actually waited out (the
-    /// part compute did not overlap).
-    OverlapResidual = 2,
     /// Waiting on the phase barrier (either of the two per cycle).
-    BarrierWait = 3,
+    BarrierWait = 2,
     /// A tile program's on-chip exchange phase.
-    Exchange = 4,
+    Exchange = 3,
 }
 
 /// Number of [`SpanKind`] variants.
-pub const SPAN_KINDS: usize = 5;
+pub const SPAN_KINDS: usize = 4;
 
 impl SpanKind {
     pub const ALL: [SpanKind; SPAN_KINDS] = [
         SpanKind::Compute,
         SpanKind::OffchipFlush,
-        SpanKind::OverlapResidual,
         SpanKind::BarrierWait,
         SpanKind::Exchange,
     ];
@@ -163,7 +159,6 @@ impl SpanKind {
         match self {
             SpanKind::Compute => "compute",
             SpanKind::OffchipFlush => "offchip_flush",
-            SpanKind::OverlapResidual => "overlap_residual",
             SpanKind::BarrierWait => "barrier_wait",
             SpanKind::Exchange => "exchange",
         }
@@ -173,7 +168,7 @@ impl SpanKind {
     pub fn category(self) -> &'static str {
         match self {
             SpanKind::Compute => "compute",
-            SpanKind::OffchipFlush | SpanKind::OverlapResidual => "offchip",
+            SpanKind::OffchipFlush => "offchip",
             SpanKind::BarrierWait => "sync",
             SpanKind::Exchange => "exchange",
         }
@@ -181,7 +176,7 @@ impl SpanKind {
 }
 
 /// The [`TraceEvent::tile`] value of worker-scoped spans (barrier
-/// waits, overlap residuals, phase-level merges).
+/// waits, phase-level merges).
 pub const NO_TILE: u32 = u32::MAX;
 
 /// One recorded span, timestamped against the sink's epoch.
