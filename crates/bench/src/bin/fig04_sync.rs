@@ -81,10 +81,14 @@ fn main() {
     // Host-engine cross-check: the PRNGs are independent (`t_comm = 0`),
     // so the measured exchange phase of the real point-to-point engine is
     // pure synchronization — the executable counterpart of the modeled
-    // barrier costs above. The kcyc/s column comes from *untimed* runs
-    // (best of three; timed runs pay per-tile clock reads), the phase
-    // columns from one timed run; every row lands in BENCH_fig04.json
-    // and prints its delta against the checked-in pre-PR baseline.
+    // barrier costs above (the model keeps the paper's two barriers per
+    // cycle; the host engine needs one). The kcyc/s column comes from
+    // *untimed* runs (best of three; timed runs pay per-tile clock
+    // reads), the phase columns from one timed run. The fixed rows pin
+    // their worker count; the auto rows take the count as a cap and let
+    // the engine's probe choose. Every row lands in BENCH_fig04.json and
+    // the fixed rows print their delta against the checked-in pre-PR
+    // baseline.
     let base = load_baseline();
     let bank = build_prng_bank(64);
     let comp = compile(&bank, &PartitionConfig::with_tiles(32)).expect("prng bank fits");
@@ -96,14 +100,17 @@ fn main() {
         "{:>8} {:>12} {:>14} {:>12} {:>9}",
         "threads", "compute/cyc", "exchange/cyc", "kcyc/s", "vs pre-PR"
     );
+    let cycles = 2000u64;
+    let measure = |sim: &mut BspSimulator<'_>| {
+        let best = (0..3).map(|_| sim.run(cycles)).fold(f64::MAX, f64::min);
+        (sim.run_timed(cycles), cycles as f64 / best)
+    };
     let mut records = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let mut sim = BspSimulator::new(&bank, &comp.partition, threads);
+        sim.pin_workers(threads);
         sim.run(100); // warm the persistent pool
-        let cycles = 2000u64;
-        let best = (0..3).map(|_| sim.run(cycles)).fold(f64::MAX, f64::min);
-        let ph = sim.run_timed(cycles);
-        let rate = cycles as f64 / best;
+        let (ph, rate) = measure(&mut sim);
         let vs = baseline_rate(
             base.as_deref().unwrap_or(&[]),
             "fig04",
@@ -135,12 +142,55 @@ fn main() {
             &ph,
         ));
     }
+    println!(
+        "\n{:>8} {:>7} {:>12} {:>14} {:>12}   probe ns/cycle per worker count",
+        "cap", "chosen", "compute/cyc", "exchange/cyc", "kcyc/s"
+    );
+    for cap in [1usize, 2, 4, 8] {
+        let mut sim = BspSimulator::new(&bank, &comp.partition, cap);
+        // Untimed runs until the worker-count probe has settled (a
+        // one-candidate engine has nothing to probe).
+        for _ in 0..100 {
+            sim.run(1000);
+            if !sim.worker_probe().is_empty() {
+                break;
+            }
+        }
+        let (ph, rate) = measure(&mut sim);
+        let probe: Vec<String> = sim
+            .worker_probe()
+            .iter()
+            .map(|(w, ns)| format!("{w}:{ns:.0}"))
+            .collect();
+        println!(
+            "{:>8} {:>7} {:>10.2}µs {:>12.2}µs {:>12.1}   {}",
+            format!("auto({cap})"),
+            sim.workers(),
+            ph.compute_s * 1e6 / cycles as f64,
+            ph.exchange_s * 1e6 / cycles as f64,
+            rate / 1e3,
+            probe.join(" "),
+        );
+        records.push(BenchRecord::from_phases(
+            "fig04",
+            "prng64",
+            "bsp-auto",
+            false,
+            comp.partition.chips,
+            comp.partition.tiles_used(),
+            1,
+            cap as u32,
+            cycles,
+            rate,
+            &ph,
+        ));
+    }
     match write_bench_json("fig04", &records) {
         Ok(path) => println!("\nwrote {} ({} records)", path.display(), records.len()),
         Err(e) => println!("\ncould not write BENCH_fig04.json: {e}"),
     }
     if let Some(base) = &base {
-        for r in &records {
+        for r in records.iter().filter(|r| r.engine == "bsp") {
             if let Some(b) = baseline_rate(base, "fig04", "prng64", "bsp", false, "", 1, r.threads)
             {
                 println!(

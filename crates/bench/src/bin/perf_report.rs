@@ -3,6 +3,9 @@
 //! the per-tile straggler table (p50/p95/max of each sub-phase), each
 //! worker's phase share from its event-trace track, the top static
 //! opcodes of the compiled bytecode, and the full metrics snapshot.
+//! Traced engines never probe their worker count, so an untraced twin
+//! probes first: the report prints its choice and per-candidate
+//! ns/cycle, and the traced engine runs pinned to that choice.
 //!
 //! Flags / knobs: `--quick` (or `PARENDI_QUICK=1`) shrinks the run;
 //! `PARENDI_TRACE=out.json` additionally writes the Perfetto-loadable
@@ -41,6 +44,15 @@ fn main() {
     let mut cfg = PartitionConfig::with_tiles(per_chip * chips);
     cfg.tiles_per_chip = per_chip;
     let comp = compile(&circuit, &cfg).expect("corpus design compiles");
+    let mut twin = BspSimulator::new(&circuit, &comp.partition, threads);
+    for _ in 0..100 {
+        twin.run(100);
+        if !twin.worker_probe().is_empty() {
+            break;
+        }
+    }
+    let (workers, probe) = (twin.workers(), twin.worker_probe().to_vec());
+    drop(twin);
     let mut sim = BspSimulator::with_trace(
         &circuit,
         &comp.partition,
@@ -48,17 +60,28 @@ fn main() {
         TransportChoice::InProcess,
         trace_cfg,
     );
+    sim.pin_workers(workers);
     sim.run(50); // warm the persistent pool
     let ph = sim.run_timed(cycles);
 
     println!(
-        "perf_report: {} | {} tiles / {} chips | {} threads | {} cycles",
+        "perf_report: {} | {} tiles / {} chips | cap {} threads, {} workers chosen | {} cycles",
         design.name(),
         comp.partition.tiles_used(),
         comp.partition.chips,
         threads,
+        workers,
         cycles,
     );
+    let probe: Vec<String> = probe
+        .iter()
+        .map(|(w, ns)| format!("{w} workers {:.2}µs", ns / 1e3))
+        .collect();
+    if probe.is_empty() {
+        println!("worker-count probe: one candidate, nothing to probe");
+    } else {
+        println!("worker-count probe, best per cycle: {}", probe.join(", "));
+    }
     println!(
         "rate {:.1} kcyc/s | straggler split per cycle: compute {:.2}µs, \
          offchip {:.2}µs, exchange {:.2}µs",

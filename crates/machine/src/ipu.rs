@@ -104,7 +104,9 @@ impl IpuConfig {
         c
     }
 
-    /// `t_sync` per simulated RTL cycle: two barriers (§3.2).
+    /// `t_sync` per simulated RTL cycle: two barriers (§3.2). The model
+    /// keeps the paper's second barrier; the host engine needs only one,
+    /// because its double-buffered mailboxes order the next compute.
     pub fn sync_cycles(&self, tiles: u32) -> u64 {
         2 * self.barrier_cycles(tiles)
     }

@@ -152,7 +152,9 @@ impl X64Config {
         c
     }
 
-    /// `t_sync` per simulated RTL cycle: two barriers.
+    /// `t_sync` per simulated RTL cycle: two barriers (§3.2). The model
+    /// keeps the paper's second barrier; the host engine needs only one,
+    /// because its double-buffered mailboxes order the next compute.
     pub fn sync_cycles(&self, threads: u32) -> u64 {
         2 * self.barrier_cycles(threads)
     }

@@ -54,7 +54,8 @@ pub struct ServeConfig {
     pub cache_cap: usize,
     /// Simultaneous gang runs (`PARENDI_SERVE_WORKERS`).
     pub workers: usize,
-    /// Engine threads per gang (`PARENDI_SERVE_THREADS`).
+    /// Cap on engine threads per gang (`PARENDI_SERVE_THREADS`): each
+    /// gang's engine times its first cycles and may use fewer.
     pub threads: usize,
 }
 

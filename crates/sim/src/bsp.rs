@@ -1,11 +1,14 @@
 //! The parallel BSP simulator: the single-scenario facade over the
 //! unified execution core.
 //!
-//! Executes a compiled [`Partition`] on host threads with exactly the
-//! structure of Fig. 3: a *computation* phase in which every process
-//! evaluates its (possibly duplicated) cone into private memory, a
-//! barrier, a *communication* phase, and a second barrier. Functional
-//! results are bit-identical to the reference [`Simulator`]
+//! Executes a compiled [`Partition`] on host threads with the structure
+//! of Fig. 3: a *computation* phase in which every process evaluates its
+//! (possibly duplicated) cone into private memory, a barrier, and a
+//! *communication* phase. The paper closes each cycle with a second
+//! barrier; the host engine does not need it, because the next
+//! computation writes only the other parity of the double-buffered
+//! mailboxes (the proof is on `PhaseBarrier` in `crate::engine`).
+//! Functional results are bit-identical to the reference [`Simulator`]
 //! (`crate::interp`) — the engine is the correctness check for the
 //! partitioner, not a model.
 //!
@@ -30,11 +33,25 @@
 //! one double-buffered mailbox per producer→consumer tile pair, while
 //! *off-chip* channels are aggregated into one **wider mailbox per
 //! ordered chip pair**. Tiles fold onto worker threads **chip-major**,
-//! and each worker flushes a tile's off-chip traffic right after that
-//! tile's compute (timed as [`BspPhases::offchip_s`]).
+//! balanced by longest-processing-time over per-tile times the engine
+//! measures, and each worker flushes a tile's off-chip traffic right
+//! after that tile's compute (timed as [`BspPhases::offchip_s`]).
 //!
-//! The only synchronization in the steady-state loop is the two phase
-//! barriers: no locks are taken and no heap allocation occurs. Per-tile
+//! # Worker count
+//!
+//! The constructor's `threads` is a cap. Barrier cost per cycle can
+//! swamp fine-grained compute on a host (§4, Fig. 4), so the engine
+//! times its own first untimed cycles at 1, 2, 4, … workers (up to the
+//! cap, the tile count, and the host's cores) and keeps the fastest; a
+//! tie goes to fewer workers. The choice then holds for every later
+//! cycle. Timed and traced runs never probe: they use the current
+//! choice, or the top candidate before one is made.
+//! [`pin_workers`](BspSimulator::pin_workers) skips the probe, and
+//! [`workers`](BspSimulator::workers) reports the count in use. Every
+//! count is bit-identical to the interpreter.
+//!
+//! The only synchronization in the steady-state loop is the one phase
+//! barrier per cycle: no locks are taken and no heap allocation occurs. Per-tile
 //! `Mutex`es exist solely so the testbench API (`poke` / `reg_value` /
 //! `array_value` / `peek_output`) can inspect state between
 //! [`run`](BspSimulator::run) calls, and are locked once per run,
@@ -89,7 +106,7 @@ pub struct BspPhases {
     /// into the chip-pair mailboxes (zero on single-chip partitions).
     pub offchip_s: f64,
     /// Seconds the straggler worker spent in communication phases:
-    /// record application plus both barrier waits.
+    /// the barrier wait plus record application.
     pub exchange_s: f64,
     /// Per-tile phase split, indexed by tile — the measured counterpart
     /// of the Fig. 6 straggler histograms, populated for single-lane
@@ -156,9 +173,9 @@ pub struct BspSimulator<'c> {
 
 impl<'c> BspSimulator<'c> {
     /// Compiles `partition` into per-tile fused bytecode and spawns a
-    /// persistent pool of `threads` workers (tiles are folded
-    /// chip-major onto threads; the pool is reused by every
-    /// [`run`](Self::run)).
+    /// persistent worker pool of at most `threads` workers (the
+    /// engine's first untimed runs choose how many to use — see the
+    /// module docs; the pool is reused by every [`run`](Self::run)).
     ///
     /// # Panics
     ///
@@ -202,6 +219,30 @@ impl<'c> BspSimulator<'c> {
                 trace,
             ),
         }
+    }
+
+    /// Skips the worker-count probe: every later run uses `workers`
+    /// workers (at most one per tile), even past the constructor's cap
+    /// and the host's cores. Results are bit-identical at any count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    pub fn pin_workers(&mut self, workers: usize) {
+        self.core.pin_workers(workers);
+    }
+
+    /// The number of worker threads runs use now: the pinned or
+    /// probed count, or the top candidate before either.
+    pub fn workers(&self) -> usize {
+        self.core.workers()
+    }
+
+    /// The worker-count probe's result: `(workers, best ns per cycle)`
+    /// per candidate, empty until the probe has finished (and for
+    /// pinned engines).
+    pub fn worker_probe(&self) -> &[(usize, f64)] {
+        self.core.probe_ns()
     }
 
     /// Total bytes that crossed a chip boundary so far: one whole

@@ -21,7 +21,9 @@
 //!   data fusion and SIMD-coverage decisions are made from;
 //! * the lock-free exchange fabric ([`Mailbox`]) and the hybrid
 //!   spin/park, tree-combining [`PhaseBarrier`];
-//! * the chip-major [`worker_groups`] fold of tiles onto host threads;
+//! * the chip-major, longest-processing-time [`fold_tiles`] of tiles
+//!   onto host threads, and the [`pick_workers`] rule that settles how
+//!   many threads a run uses;
 //! * the scalar/slice step evaluators: [`eval_op`] (the multi-word
 //!   fallback) and the `nw == 1` single-word kernels ([`un1`],
 //!   [`bin1`], [`sext1`]) the fused opcodes dispatch into — one source
@@ -110,14 +112,24 @@ use parendi_telemetry::Counter;
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+/// The host's available parallelism, read once per process.
+pub(crate) fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|c| c.get())
+            .unwrap_or(1)
+    })
+}
 
 /// A counter padded to its own cache line so barrier arrivals in
 /// different tree groups never false-share.
 #[repr(align(64))]
 struct PadCounter(AtomicUsize);
 
-/// A sense-reversing hybrid barrier for the twice-per-cycle phase
+/// A sense-reversing hybrid barrier for the once-per-cycle phase
 /// synchronization. BSP cycles are microseconds long, so when every
 /// worker has its own core, parking on a futex (`std::sync::Barrier`)
 /// costs more than an entire cycle — workers spin instead, and the
@@ -128,6 +140,15 @@ struct PadCounter(AtomicUsize);
 /// `parked` says somebody actually sleeps there. The run hand-off
 /// barriers (`gate`/`done`) stay parking barriers — between runs,
 /// sleeping is exactly right.
+///
+/// One wait per cycle suffices, between compute and exchange. The
+/// exchange of cycle `c` reads only mailbox parity `(c + 1) & 1` and
+/// writes only its own tiles' array copies; the next compute writes
+/// parity `c & 1`. Parity `(c + 1) & 1` is next written in cycle
+/// `c + 2`, after the barrier of cycle `c + 1`, which every worker
+/// reaches only once its own exchange of cycle `c` is done. A tile's
+/// array copies are read only by the worker that owns the tile, after
+/// that same worker's exchange.
 ///
 /// Past ~16 workers a single arrival counter becomes a cache-line
 /// hot-spot (every arriver RMWs the same line), so arrivals combine up
@@ -171,12 +192,9 @@ impl PhaseBarrier {
     /// parked; the leader is uncounted) are credited to registered
     /// metrics counters.
     pub(crate) fn with_counters(n: usize, spin_waits: Counter, park_waits: Counter) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
         // `n > cores` means at least one waiter would spin on a core the
         // last arriver needs: skip straight to parking.
-        let spin_limit = if n <= cores { 1 << 14 } else { 0 };
+        let spin_limit = if n <= host_cores() { 1 << 14 } else { 0 };
         let fanout = if n <= TREE_THRESHOLD {
             n.max(1)
         } else {
@@ -478,10 +496,10 @@ impl Program {
 /// engine the buffer is `lanes` copies of the single-lane layout,
 /// lane-major; the epoch discipline is identical.
 ///
-/// Epoch discipline (enforced by the two BSP barriers, see the `bsp`
-/// module docs): during cycle `c` producer threads write only buffer
-/// `(c + 1) & 1` and consumer threads read only buffer `c & 1`
-/// (computation phase) or `(c + 1) & 1` *after* the first barrier
+/// Epoch discipline (enforced by the one per-cycle BSP barrier, see
+/// [`PhaseBarrier`]): during cycle `c` producer threads write only
+/// buffer `(c + 1) & 1` and consumer threads read only buffer `c & 1`
+/// (computation phase) or `(c + 1) & 1` *after* the barrier
 /// (communication phase). No thread ever touches a word another thread
 /// is writing.
 ///
@@ -585,12 +603,16 @@ pub(crate) struct OutputHome {
     pub off: u32,
 }
 
-/// Folds tiles onto `workers` threads chip-major. Each chip's tiles go
-/// to a contiguous group of workers sized proportionally to the chip's
-/// tile count (every chip gets at least one worker); with fewer workers
-/// than chips, whole chips round-robin over workers so a chip's tiles
-/// stay within one worker. Within a group, tiles fold round-robin.
-pub(crate) fn worker_groups(tile_chip: &[u32], workers: usize) -> Vec<Vec<usize>> {
+/// Folds tiles onto `workers` threads chip-major, balancing `cost`
+/// (one entry per tile) by longest-processing-time (LPT): heaviest
+/// first, each onto the least-loaded worker, ties to the one with fewer
+/// tiles, then to the lower index.
+/// Each chip's tiles go to a contiguous group of workers sized
+/// proportionally to the chip's tile count (every chip gets at least
+/// one worker); with fewer workers than chips, whole chips fold by LPT
+/// over their summed cost, so a chip's tiles stay within one worker.
+/// Equal costs reproduce a round-robin fold.
+pub(crate) fn fold_tiles(tile_chip: &[u32], cost: &[u64], workers: usize) -> Vec<Vec<usize>> {
     let mut out = vec![Vec::new(); workers];
     if workers == 0 || tile_chip.is_empty() {
         return out;
@@ -602,8 +624,13 @@ pub(crate) fn worker_groups(tile_chip: &[u32], workers: usize) -> Vec<Vec<usize>
     }
     by_chip.retain(|v| !v.is_empty());
     if workers < by_chip.len() {
-        for (ci, tiles) in by_chip.iter().enumerate() {
-            out[ci % workers].extend(tiles.iter().copied());
+        let chip_cost: Vec<u64> = by_chip
+            .iter()
+            .map(|tiles| tiles.iter().map(|&t| cost[t]).sum())
+            .collect();
+        for (w, chips) in balance(&chip_cost, workers).into_iter().enumerate() {
+            out[w] = chips.iter().flat_map(|&c| by_chip[c].clone()).collect();
+            out[w].sort_unstable();
         }
         return out;
     }
@@ -614,14 +641,74 @@ pub(crate) fn worker_groups(tile_chip: &[u32], workers: usize) -> Vec<Vec<usize>
         let workers_left = workers - next;
         let share = (tiles.len() * workers_left).div_ceil(tiles_left);
         let share = share.clamp(1, workers_left - (chips_left - 1));
-        for (k, &t) in tiles.iter().enumerate() {
-            out[next + k % share].push(t);
+        let chip_cost: Vec<u64> = tiles.iter().map(|&t| cost[t]).collect();
+        for (k, group) in balance(&chip_cost, share).into_iter().enumerate() {
+            out[next + k] = group.into_iter().map(|i| tiles[i]).collect();
         }
         next += share;
         tiles_left -= tiles.len();
         chips_left -= 1;
     }
     out
+}
+
+/// Longest-processing-time assignment of items (by `cost`) to `bins`,
+/// or round-robin where that loads the busiest bin less (LPT is only
+/// within 4/3 of optimal): returns each bin's item indices, ascending.
+fn balance(cost: &[u64], bins: usize) -> Vec<Vec<usize>> {
+    let max_load = |groups: &[Vec<usize>]| {
+        groups
+            .iter()
+            .map(|g| g.iter().map(|&i| cost[i]).sum::<u64>())
+            .max()
+    };
+    let rr: Vec<Vec<usize>> = (0..bins)
+        .map(|b| (b..cost.len()).step_by(bins).collect())
+        .collect();
+    let lpt = lpt(cost, bins);
+    if max_load(&rr) < max_load(&lpt) {
+        rr
+    } else {
+        lpt
+    }
+}
+
+fn lpt(cost: &[u64], bins: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..cost.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(cost[i]), i));
+    let mut load = vec![0u64; bins];
+    let mut out = vec![Vec::new(); bins];
+    for i in order {
+        let b = (0..bins)
+            .min_by_key(|&b| (load[b], out[b].len(), b))
+            .expect("bins > 0");
+        load[b] += cost[i];
+        out[b].push(i);
+    }
+    for bin in &mut out {
+        bin.sort_unstable();
+    }
+    out
+}
+
+/// How much faster (as a fraction of its time per cycle) a larger
+/// worker count must be to beat a smaller one in [`pick_workers`].
+pub(crate) const WORKER_TIE: f64 = 0.05;
+
+/// Picks a worker count from measured `(workers, ns per cycle)`
+/// samples: the fastest, except that a larger count must beat the
+/// best smaller one by more than [`WORKER_TIE`] — a tie goes to fewer
+/// workers.
+pub(crate) fn pick_workers(samples: &[(usize, f64)]) -> usize {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by_key(|&(w, _)| w);
+    let mut best: Option<(usize, f64)> = None;
+    for (w, ns) in sorted {
+        if best.is_none_or(|(_, b)| ns < b * (1.0 - WORKER_TIE)) {
+            best = Some((w, ns));
+        }
+    }
+    best.map_or(1, |(w, _)| w)
 }
 
 /// The complete compile front-end shared by the execution engines:
@@ -1950,5 +2037,104 @@ mod tests {
         let a = Bits::from_u64(8, 0x80);
         let b = Bits::from_u64(8, 0x7f);
         assert_eq!(bin1(BinOp::LtS, 0x80, 0x7f, 1, 8), a.lt_s(&b) as u64);
+    }
+
+    /// A seeded fold shape: tile count, chip of each tile, costs.
+    fn seeded_shape(seed: u64) -> (Vec<u32>, Vec<u64>) {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let tiles = 1 + next(40) as usize;
+        let chips = 1 + next(4) as u32;
+        let mut tile_chip: Vec<u32> = (0..tiles).map(|_| next(chips as u64) as u32).collect();
+        tile_chip.sort_unstable();
+        let cost = (0..tiles).map(|_| 20 + next(300)).collect();
+        (tile_chip, cost)
+    }
+
+    fn max_load(groups: &[Vec<usize>], cost: &[u64]) -> u64 {
+        groups
+            .iter()
+            .map(|g| g.iter().map(|&t| cost[t]).sum())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The LPT fold places every tile exactly once, never splits a chip
+    /// across a worker it shares with another chip, never loads its
+    /// busiest worker more than the round-robin fold does, and is
+    /// deterministic.
+    #[test]
+    fn lpt_fold_is_a_chip_major_partition_no_worse_than_round_robin() {
+        for seed in 0..200u64 {
+            let (tile_chip, cost) = seeded_shape(seed);
+            let unit = vec![1u64; cost.len()];
+            for workers in 1..=12usize {
+                let groups = fold_tiles(&tile_chip, &cost, workers);
+                assert_eq!(groups.len(), workers);
+                let mut seen: Vec<usize> = groups.iter().flatten().copied().collect();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..cost.len()).collect::<Vec<_>>(), "seed {seed}");
+                let chips_of = |g: &Vec<usize>| {
+                    let mut c: Vec<u32> = g.iter().map(|&t| tile_chip[t]).collect();
+                    c.dedup();
+                    c
+                };
+                let nchips = {
+                    let mut c = tile_chip.clone();
+                    c.dedup();
+                    c.len()
+                };
+                for g in &groups {
+                    let chips = chips_of(g);
+                    if workers >= nchips {
+                        assert!(
+                            chips.len() <= 1,
+                            "seed {seed} w{workers}: mixed chips {chips:?}"
+                        );
+                    } else {
+                        for c in chips {
+                            let all = tile_chip.iter().filter(|&&x| x == c).count();
+                            let here = g.iter().filter(|&&t| tile_chip[t] == c).count();
+                            assert_eq!(here, all, "seed {seed} w{workers}: chip {c} split");
+                        }
+                    }
+                }
+                let rr = fold_tiles(&tile_chip, &unit, workers);
+                assert!(
+                    max_load(&groups, &cost) <= max_load(&rr, &cost),
+                    "seed {seed} w{workers}: LPT worse than round-robin"
+                );
+                assert_eq!(groups, fold_tiles(&tile_chip, &cost, workers));
+            }
+        }
+    }
+
+    /// Equal costs reproduce the round-robin fold within a chip; unequal
+    /// ones balance by LPT.
+    #[test]
+    fn equal_costs_fold_round_robin() {
+        let groups = fold_tiles(&[0; 7], &[5; 7], 3);
+        assert_eq!(groups, vec![vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
+        // A heavy tile gets a worker to itself.
+        let groups = fold_tiles(&[0; 4], &[1, 1, 1, 9], 2);
+        assert_eq!(groups, vec![vec![3], vec![0, 1, 2]]);
+    }
+
+    /// The fastest count wins; a tie, or a gain inside the margin, goes
+    /// to fewer workers.
+    #[test]
+    fn pick_workers_prefers_fewer_on_ties() {
+        assert_eq!(pick_workers(&[(1, 100.0), (2, 100.0)]), 1);
+        assert_eq!(pick_workers(&[(2, 100.0), (1, 100.0), (4, 100.0)]), 1);
+        assert_eq!(pick_workers(&[(1, 100.0), (2, 97.0)]), 1);
+        assert_eq!(pick_workers(&[(1, 100.0), (2, 60.0), (4, 59.0)]), 2);
+        assert_eq!(pick_workers(&[(1, 100.0), (2, 60.0), (4, 30.0)]), 4);
+        assert_eq!(pick_workers(&[(1, 40.0), (2, 60.0)]), 1);
+        assert_eq!(pick_workers(&[]), 1);
     }
 }

@@ -113,7 +113,7 @@
 //! copied into the epoch-`c+1` chip-pair aggregate mailboxes, before
 //! the worker moves on to its next tile. This is legal under the
 //! double-buffer epoch discipline: those segments have no reader until
-//! after barrier 1. The copies are real host work, timed per tile into
+//! after the cycle's barrier. The copies are real host work, timed per tile into
 //! the off-chip column ([`BspPhases::offchip_s`],
 //! [`TilePhases::offchip_s`]).
 
@@ -121,8 +121,9 @@ use crate::bsp::{BspPhases, TilePhases};
 use crate::checkpoint::{auto_checkpoint_from_env, Fingerprint, Snapshot, SnapshotError};
 use crate::checkpoint::{TileShape, TileState};
 use crate::engine::{
-    bin1, eval_op, sext1, un1, worker_groups, ArrayHome, Compiled, LayoutChoice, Mailbox,
-    OutputHome, PhaseBarrier, PortSend, Program, RecSrc, RegHome, RegSend, Step,
+    bin1, eval_op, fold_tiles, host_cores, pick_workers, sext1, un1, ArrayHome, Compiled,
+    LayoutChoice, Mailbox, OutputHome, PhaseBarrier, PortSend, Program, RecSrc, RegHome, RegSend,
+    Step,
 };
 use crate::fault::{FaultKind, FaultPlan, TileFault};
 use crate::simd::{vbin, vconcat, vmux, vsext, vslice, vun, vzext, VecIsa};
@@ -2434,7 +2435,9 @@ fn exchange_phase<L: LaneSet, Y: Layout>(
                 });
             }
             RecSrc::Mail { ch, off } => {
-                // SAFETY: after barrier 1 nobody writes `record_parity`.
+                // SAFETY: after the cycle's barrier nobody writes
+                // `record_parity` until the next cycle's barrier, which
+                // this worker reaches only after this read.
                 let buf = unsafe { channels[ch as usize].read(record_parity) };
                 let mw = mail_words[ch as usize] as usize;
                 let off = off as usize;
@@ -2488,16 +2491,12 @@ struct CoreShared {
     /// between runs, read once per run like the retire mask. Empty
     /// inner vecs everywhere when no campaign is active.
     faults: RwLock<Vec<Vec<TileFault>>>,
-    phase_barrier: PhaseBarrier,
-    gate: Barrier,
-    done: Barrier,
+    /// The fold runs use: rewritten only between runs, read once per
+    /// run by every worker.
+    fold: RwLock<Fold>,
     cmd_cycles: AtomicU64,
     cmd_start: AtomicU64,
     cmd_timed: AtomicBool,
-    exit: AtomicBool,
-    /// Per-worker-slot (compute, offchip, exchange) ns of the last
-    /// timed run (slot 0 doubles as the inline no-pool path's slot).
-    phase_ns: Vec<Mutex<(u64, u64, u64)>>,
     /// Per-tile (compute, offchip, exchange) ns of the last timed run.
     tile_ns: Vec<Mutex<(u64, u64, u64)>>,
     /// The engine's metrics registry (one per compiled engine).
@@ -2513,9 +2512,215 @@ struct CoreShared {
     /// Event-trace sink, or `None` when tracing is off — the `None`
     /// the hot path branches on.
     trace: Option<Arc<TraceSink>>,
-    /// One trace track per worker slot (slot 0 doubles as the inline
-    /// no-pool path's track). Empty when tracing is off.
-    trace_bufs: Vec<Arc<TraceBuf>>,
+}
+
+/// One fold of the tiles onto `groups.len()` workers, with the phase
+/// barrier, timing slots, and trace tracks sized to it. Worker slot 0
+/// of a one-worker fold is the caller's own thread (the inline path).
+struct Fold {
+    groups: Vec<Vec<usize>>,
+    barrier: PhaseBarrier,
+    /// Per-worker-slot (compute, offchip, exchange) ns of the last
+    /// timed run.
+    phase_ns: Vec<Mutex<(u64, u64, u64)>>,
+    /// One trace track per worker slot; empty when tracing is off.
+    tracks: Vec<Arc<TraceBuf>>,
+}
+
+impl Fold {
+    fn new(
+        tile_chip: &[u32],
+        cost: &[u64],
+        workers: usize,
+        ctrs: &EngineCounters,
+        tracks: &[Arc<TraceBuf>],
+    ) -> Self {
+        Fold {
+            groups: fold_tiles(tile_chip, cost, workers),
+            barrier: PhaseBarrier::with_counters(
+                workers,
+                ctrs.barrier_spin_waits.clone(),
+                ctrs.barrier_park_waits.clone(),
+            ),
+            phase_ns: (0..workers).map(|_| Mutex::new((0, 0, 0))).collect(),
+            tracks: tracks.iter().take(workers).cloned().collect(),
+        }
+    }
+
+    fn workers(&self) -> usize {
+        self.groups.len()
+    }
+}
+
+/// Registers trace tracks on `trace` (if on) until there is one per
+/// worker slot up to `slots`.
+fn register_tracks(trace: &Option<Arc<TraceSink>>, tracks: &mut Vec<Arc<TraceBuf>>, slots: usize) {
+    if let Some(sink) = trace {
+        while tracks.len() < slots {
+            tracks.push(sink.register(&format!("engine-worker-{}", tracks.len())));
+        }
+    }
+}
+
+/// The persistent worker threads and their run hand-off barriers. The
+/// caller's thread is worker slot 0 of every fold; the pool's threads
+/// are slots 1 and up, and those past the current fold's width pass
+/// each run through idle.
+struct Pool {
+    sync: Arc<PoolSync>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+/// The run hand-off between the caller and the pool threads: both
+/// barriers are one party per fold slot the pool serves.
+struct PoolSync {
+    gate: Barrier,
+    done: Barrier,
+    exit: AtomicBool,
+}
+
+impl Pool {
+    /// A pool for folds up to `slots` wide (`slots - 1` threads).
+    fn spawn(shared: &Arc<CoreShared>, slots: usize) -> Self {
+        let sync = Arc::new(PoolSync {
+            gate: Barrier::new(slots),
+            done: Barrier::new(slots),
+            exit: AtomicBool::new(false),
+        });
+        let handles = (1..slots)
+            .map(|t| {
+                let (shared, sync) = (Arc::clone(shared), Arc::clone(&sync));
+                std::thread::Builder::new()
+                    .name(format!("engine-worker-{t}"))
+                    .spawn(move || worker_loop(&shared, &sync, t))
+                    .expect("spawn engine worker")
+            })
+            .collect();
+        Pool { sync, handles }
+    }
+
+    /// The widest fold the pool serves.
+    fn slots(&self) -> usize {
+        self.handles.len() + 1
+    }
+
+    fn join(self) {
+        self.sync.exit.store(true, Ordering::SeqCst);
+        self.sync.gate.wait();
+        for h in self.handles {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Host nanoseconds one probe slice aims for.
+const PROBE_SLICE_NS: u64 = 1_000_000;
+/// The shortest probe slice in cycles.
+const PROBE_MIN_CYCLES: u64 = 8;
+
+/// The worker-count probe of an engine that has not settled yet. Its
+/// schedule spends the first untimed cycles on: one timed slice at one
+/// worker (its per-tile times become the LPT fold costs, its rate sizes
+/// the slices), then one untimed slice per candidate count, twice over:
+/// ascending, then descending, so every candidate's second slice starts
+/// with its pool threads already awake and its tiles already in their
+/// caches. Each candidate keeps its faster slice; [`pick_workers`]
+/// settles the count. Slices may span runs.
+struct Probe {
+    /// Candidate worker counts, ascending: 1, 2, 4, … and the top.
+    candidates: Vec<usize>,
+    /// Schedule position: 0 is the timed slice.
+    step: usize,
+    /// Cycles and host ns gathered so far in the current step.
+    cycles: u64,
+    ns: u64,
+    /// Untimed slice length in cycles, sized after step 0.
+    slice: u64,
+    /// Per-tile ns summed over step 0.
+    tile_ns: Vec<u64>,
+    /// Best ns per cycle of each candidate.
+    best: Vec<f64>,
+}
+
+impl Probe {
+    fn new(candidates: Vec<usize>, tiles: usize) -> Self {
+        Probe {
+            best: vec![f64::INFINITY; candidates.len()],
+            candidates,
+            step: 0,
+            cycles: 0,
+            ns: 0,
+            slice: PROBE_MIN_CYCLES,
+            tile_ns: vec![0; tiles],
+        }
+    }
+
+    /// The current step's candidate index (`None` for the timed slice).
+    fn candidate(&self) -> Option<usize> {
+        let k = self.candidates.len();
+        match self.step {
+            0 => None,
+            s if s <= k => Some(s - 1),
+            s => Some(2 * k - s),
+        }
+    }
+
+    /// The current step's worker count and whether it is timed.
+    fn current(&self) -> (usize, bool) {
+        match self.candidate() {
+            None => (1, true),
+            Some(i) => (self.candidates[i], false),
+        }
+    }
+
+    /// Cycles still owed to the current step (at least one).
+    fn owed(&self) -> u64 {
+        if self.step > 0 {
+            return self.slice - self.cycles;
+        }
+        if self.cycles < PROBE_MIN_CYCLES {
+            return PROBE_MIN_CYCLES - self.cycles;
+        }
+        // Stretch the timed slice to about PROBE_SLICE_NS at its rate.
+        let left = PROBE_SLICE_NS.saturating_sub(self.ns);
+        (left * self.cycles).div_ceil(self.ns.max(1)).max(1)
+    }
+
+    /// Records `cycles` that took `ns`; returns the settled worker
+    /// count once the last step is done.
+    fn record(&mut self, cycles: u64, ns: u64) -> Option<usize> {
+        self.cycles += cycles;
+        self.ns += ns;
+        match self.candidate() {
+            None => {
+                if self.cycles < PROBE_MIN_CYCLES || self.ns < PROBE_SLICE_NS {
+                    return None;
+                }
+                self.slice = (PROBE_SLICE_NS * self.cycles)
+                    .div_ceil(self.ns.max(1))
+                    .max(PROBE_MIN_CYCLES);
+            }
+            Some(i) => {
+                if self.cycles < self.slice {
+                    return None;
+                }
+                self.best[i] = self.best[i].min(self.ns as f64 / self.cycles as f64);
+            }
+        }
+        self.step += 1;
+        self.cycles = 0;
+        self.ns = 0;
+        (self.step > 2 * self.candidates.len()).then(|| pick_workers(&self.samples()))
+    }
+
+    /// `(workers, best ns per cycle)` of every candidate.
+    fn samples(&self) -> Vec<(usize, f64)> {
+        self.candidates
+            .iter()
+            .copied()
+            .zip(self.best.iter().copied())
+            .collect()
+    }
 }
 
 /// The metric handles the engine credits at run granularity (see
@@ -2530,6 +2735,8 @@ struct EngineCounters {
     trace_events_dropped: Counter,
     offchip_bytes: Counter,
     frames_sent: Counter,
+    barrier_spin_waits: Counter,
+    barrier_park_waits: Counter,
 }
 
 /// Per-run accumulator of one worker's phase nanoseconds.
@@ -2602,10 +2809,34 @@ impl<'a> Tracer<'a> {
 /// wrap: compiled programs, lane-strided tile state, the mailbox
 /// fabric, and a persistent worker pool running the one shared cycle
 /// loop.
+///
+/// The engine's `threads` is a cap. The candidate worker counts are
+/// 1, 2, 4, … up to `min(threads, tiles, host cores)`; the first
+/// untimed runs time them on real cycles ([`Probe`]) and keep the
+/// fastest, folding tiles by LPT over the per-tile times measured at
+/// one worker. Timed and traced runs never probe: they use the settled
+/// count, or the top candidate until one is settled.
+/// [`pin_workers`](Self::pin_workers) settles the count explicitly.
+/// Every fold is bit-identical to the interpreter, so the choice moves
+/// only speed.
 pub(crate) struct EngineCore<'c> {
     pub circuit: &'c Circuit,
     shared: Arc<CoreShared>,
-    workers: Vec<JoinHandle<()>>,
+    /// Worker threads for folds wider than one (`None` while every
+    /// candidate is one worker).
+    pool: Option<Pool>,
+    /// Chip of each tile (the fold is chip-major).
+    tile_chip: Vec<u32>,
+    /// Per-tile cost the fold balances: unit until the probe's timed
+    /// slice measures it.
+    tile_cost: Vec<u64>,
+    /// Trace tracks registered so far, one per worker slot (empty when
+    /// tracing is off).
+    tracks: Vec<Arc<TraceBuf>>,
+    /// The worker-count probe while the choice is unsettled.
+    probe: Option<Probe>,
+    /// The finished probe's `(workers, best ns per cycle)` samples.
+    probe_ns: Vec<(usize, f64)>,
     pub reg_home: Vec<RegHome>,
     pub array_home: Vec<ArrayHome>,
     pub output_home: Vec<OutputHome>,
@@ -2802,14 +3033,12 @@ impl<'c> EngineCore<'c> {
             })
             .collect();
 
-        let pool_threads = if programs.len() <= 1 {
-            1
-        } else {
-            threads.min(programs.len())
-        };
-        let worker_count = if pool_threads > 1 { pool_threads } else { 0 };
         let tile_count = programs.len();
-        let groups = worker_groups(&tile_chip, worker_count);
+        let top = threads.min(tile_count).min(host_cores()).max(1);
+        let mut candidates: Vec<usize> = std::iter::successors(Some(1usize), |w| Some(w * 2))
+            .take_while(|&w| w < top)
+            .collect();
+        candidates.push(top);
 
         // Telemetry: the registry with its full key set (so every
         // snapshot carries every metric, credited or not), the trace
@@ -2825,6 +3054,8 @@ impl<'c> EngineCore<'c> {
             trace_events_dropped: metrics.counter("trace_events_dropped"),
             offchip_bytes: metrics.counter("offchip_bytes_sent"),
             frames_sent: metrics.counter("frames_sent"),
+            barrier_spin_waits: metrics.counter("barrier_spin_waits"),
+            barrier_park_waits: metrics.counter("barrier_park_waits"),
         };
         ctrs.lanes_active.set(lanes as u64);
         let mut ops_per_cycle = (0u64, 0u64);
@@ -2836,14 +3067,10 @@ impl<'c> EngineCore<'c> {
             ops_prelude = (ops_prelude.0 + s, ops_prelude.1 + p);
         }
         let trace = TraceSink::new(&trace_cfg);
-        let trace_bufs: Vec<Arc<TraceBuf>> = trace
-            .as_ref()
-            .map(|sink| {
-                (0..worker_count.max(1))
-                    .map(|t| sink.register(&format!("engine-worker-{t}")))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let tile_cost = vec![1u64; tile_count];
+        let mut tracks = Vec::new();
+        register_tracks(&trace, &mut tracks, top);
+        let fold = Fold::new(&tile_chip, &tile_cost, top, &ctrs, &tracks);
 
         let offchip_bytes_per_cycle = channels[onchip_mailboxes..]
             .iter()
@@ -2866,39 +3093,19 @@ impl<'c> EngineCore<'c> {
             active: RwLock::new((0..lanes as u32).collect()),
             retired: RwLock::new(vec![0u64; pw]),
             faults: RwLock::new(vec![Vec::new(); tile_count]),
-            phase_barrier: PhaseBarrier::with_counters(
-                pool_threads.max(1),
-                metrics.counter("barrier_spin_waits"),
-                metrics.counter("barrier_park_waits"),
-            ),
-            gate: Barrier::new(worker_count + 1),
-            done: Barrier::new(worker_count + 1),
+            fold: RwLock::new(fold),
             cmd_cycles: AtomicU64::new(0),
             cmd_start: AtomicU64::new(0),
             cmd_timed: AtomicBool::new(false),
-            exit: AtomicBool::new(false),
-            phase_ns: (0..worker_count.max(1))
-                .map(|_| Mutex::new((0, 0, 0)))
-                .collect(),
             tile_ns: (0..tile_count).map(|_| Mutex::new((0, 0, 0))).collect(),
             metrics,
             ctrs,
             ops_per_cycle,
             ops_prelude,
             trace,
-            trace_bufs,
         });
-        let workers = groups
-            .into_iter()
-            .enumerate()
-            .map(|(t, mine)| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("engine-worker-{t}"))
-                    .spawn(move || worker_loop(&shared, t, mine))
-                    .expect("spawn engine worker")
-            })
-            .collect();
+        let pool = (top > 1).then(|| Pool::spawn(&shared, top));
+        let probe = (candidates.len() > 1).then(|| Probe::new(candidates, tile_count));
 
         let mut grouped: HashMap<u32, Vec<u32>> = HashMap::new();
         for (oi, home) in output_home.iter().enumerate() {
@@ -2910,7 +3117,12 @@ impl<'c> EngineCore<'c> {
         EngineCore {
             circuit,
             shared,
-            workers,
+            pool,
+            tile_chip,
+            tile_cost,
+            tracks,
+            probe,
+            probe_ns: Vec::new(),
             reg_home,
             array_home,
             output_home,
@@ -2963,8 +3175,9 @@ impl<'c> EngineCore<'c> {
     /// (`lanes_active`/`lanes_retired`, `trace_events_dropped`) are
     /// refreshed here; counters (`cycles_run`, `ops_strided`/
     /// `ops_packed`, `simd_kernel_dispatches`, `offchip_bytes_sent`,
-    /// `frames_sent`, `barrier_spin_waits`/`barrier_park_waits`)
-    /// accumulate as the engine runs.
+    /// `frames_sent`, `barrier_spin_waits`/`barrier_park_waits` — one
+    /// wait per cycle per non-leading worker) accumulate as the engine
+    /// runs.
     pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         let sh = &self.shared;
         let active = self.active_lanes() as u64;
@@ -3598,9 +3811,94 @@ impl<'c> EngineCore<'c> {
         }
     }
 
-    /// One uninterrupted dispatch into the cycle loop (the whole run
-    /// when auto-checkpointing is off).
+    /// One run between auto-checkpoints (the whole run when
+    /// auto-checkpointing is off). An untimed, untraced run of an
+    /// unsettled engine spends its cycles on the worker-count probe's
+    /// slices first, switching folds between dispatches.
     fn run_chunk(&mut self, cycles: u64, timed: bool) -> BspPhases {
+        if timed || self.shared.trace.is_some() || self.probe.is_none() {
+            return self.dispatch(cycles, timed);
+        }
+        let start = Instant::now();
+        let mut left = cycles;
+        while left > 0 {
+            let Some(probe) = self.probe.as_mut() else {
+                self.dispatch(left, false);
+                break;
+            };
+            let (workers, timed) = probe.current();
+            let n = probe.owed().min(left);
+            if self.workers() != workers {
+                self.set_fold(workers);
+            }
+            let ph = self.dispatch(n, timed);
+            left -= n;
+            let probe = self.probe.as_mut().expect("probe is live");
+            for (acc, t) in probe.tile_ns.iter_mut().zip(&ph.per_tile) {
+                *acc += ((t.compute_s + t.offchip_s + t.exchange_s) * 1e9) as u64;
+            }
+            if let Some(settled) = probe.record(n, (ph.total_s * 1e9) as u64) {
+                let probe = self.probe.take().expect("probe is live");
+                self.tile_cost = probe.tile_ns.iter().map(|&ns| ns.max(1)).collect();
+                self.probe_ns = probe.samples();
+                self.set_fold(settled);
+            }
+        }
+        BspPhases {
+            total_s: start.elapsed().as_secs_f64(),
+            cycles,
+            lanes: self.active_lanes() as u32,
+            ..BspPhases::default()
+        }
+    }
+
+    /// Makes runs use `workers` workers, folded over the current tile
+    /// costs. Only called between runs.
+    fn set_fold(&mut self, workers: usize) {
+        *self.shared.fold.write().unwrap() = Fold::new(
+            &self.tile_chip,
+            &self.tile_cost,
+            workers,
+            &self.shared.ctrs,
+            &self.tracks,
+        );
+    }
+
+    /// The number of workers runs use now.
+    pub(crate) fn workers(&self) -> usize {
+        self.shared.fold.read().unwrap().workers()
+    }
+
+    /// The finished probe's `(workers, best ns per cycle)` samples;
+    /// empty before the probe finishes, and for pinned engines.
+    pub(crate) fn probe_ns(&self) -> &[(usize, f64)] {
+        &self.probe_ns
+    }
+
+    /// Skips the worker-count probe and runs every later cycle on
+    /// `workers` workers (at most one per tile), spawning threads past
+    /// the cap and the host's cores if asked to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    pub(crate) fn pin_workers(&mut self, workers: usize) {
+        assert!(workers >= 1, "need at least one worker");
+        let workers = workers.min(self.tiles());
+        self.probe = None;
+        if workers > 1 && self.pool.as_ref().is_none_or(|p| p.slots() < workers) {
+            if let Some(old) = self.pool.take() {
+                old.join();
+            }
+            register_tracks(&self.shared.trace, &mut self.tracks, workers);
+            self.pool = Some(Pool::spawn(&self.shared, workers));
+        }
+        self.set_fold(workers);
+    }
+
+    /// One uninterrupted dispatch into the cycle loop on the current
+    /// fold.
+    fn dispatch(&mut self, cycles: u64, timed: bool) -> BspPhases {
         let start = Instant::now();
         let active_count = self.active_lanes() as u32;
         if cycles == 0 {
@@ -3610,15 +3908,18 @@ impl<'c> EngineCore<'c> {
             };
         }
         let sh = &self.shared;
-        if self.workers.is_empty() {
-            let mine: Vec<usize> = (0..sh.tiles.len()).collect();
-            run_group(sh, 0, &mine, self.cycle, cycles, timed);
-        } else {
-            sh.cmd_cycles.store(cycles, Ordering::SeqCst);
-            sh.cmd_start.store(self.cycle, Ordering::SeqCst);
-            sh.cmd_timed.store(timed, Ordering::SeqCst);
-            sh.gate.wait();
-            sh.done.wait();
+        let fold = sh.fold.read().unwrap();
+        match &self.pool {
+            Some(pool) if fold.workers() > 1 => {
+                sh.cmd_cycles.store(cycles, Ordering::SeqCst);
+                sh.cmd_start.store(self.cycle, Ordering::SeqCst);
+                sh.cmd_timed.store(timed, Ordering::SeqCst);
+                pool.sync.gate.wait();
+                let slot0 = || run_group(sh, &fold, 0, self.cycle, cycles, timed);
+                abort_on_panic(0, slot0);
+                pool.sync.done.wait();
+            }
+            _ => run_group(sh, &fold, 0, self.cycle, cycles, timed),
         }
         let mut acc = PhaseAcc::default();
         let mut per_tile = Vec::new();
@@ -3628,7 +3929,7 @@ impl<'c> EngineCore<'c> {
             // the slack, equalizing every worker's span up to wakeup
             // jitter. `>=` so a lone slot (the inline path) is always
             // taken.
-            for slot in &sh.phase_ns {
+            for slot in &fold.phase_ns {
                 let (comp, off, exch) = *slot.lock().unwrap();
                 if comp + off >= acc.comp + acc.off {
                     acc = PhaseAcc { comp, off, exch };
@@ -3682,12 +3983,8 @@ impl Drop for EngineCore<'_> {
     /// Joins the workers, then writes the configured trace file (if
     /// any), so the JSON holds every span the workers recorded.
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
-            self.shared.exit.store(true, Ordering::SeqCst);
-            self.shared.gate.wait();
-            for w in self.workers.drain(..) {
-                let _ = w.join();
-            }
+        if let Some(pool) = self.pool.take() {
+            pool.join();
         }
         if let Some(sink) = &self.shared.trace {
             if let Some(warning) = sink.drop_warning() {
@@ -3727,49 +4024,46 @@ fn merge_phases(agg: &mut Option<BspPhases>, ph: BspPhases) {
     }
 }
 
-/// Runs worker slot `slot`'s tile group `mine` for `cycles` cycles from
-/// `start` — the one entry into [`cycle_loop`], shared by the inline
-/// (no-pool) path and every pool worker. Picks the cheapest [`LaneSet`]
-/// for the current active-lane list and pairs it with the gang's
-/// [`Layout`] (single lane, dense gang, or early-exited gang — each in
+/// Runs worker slot `slot`'s tile group of `fold` for `cycles` cycles
+/// from `start` — the one entry into [`cycle_loop`], shared by the
+/// caller's thread (slot 0) and every pool worker. Picks the cheapest
+/// [`LaneSet`] for the current active-lane list and pairs it with the
+/// gang's [`Layout`] (single lane, dense gang, or early-exited gang — each in
 /// lane-major or word-interleaved form).
-fn run_group(
-    shared: &CoreShared,
-    slot: usize,
-    mine: &[usize],
-    start: u64,
-    cycles: u64,
-    timed: bool,
-) {
+fn run_group(shared: &CoreShared, fold: &Fold, slot: usize, start: u64, cycles: u64, timed: bool) {
     let active = shared.active.read().unwrap();
     if shared.lanes == 1 && active.len() == 1 {
         // A single-lane gang is lane-major by construction (the two
         // layouts coincide at stride 1).
-        cycle_loop::<_, LaneMajor>(shared, slot, mine, start, cycles, timed, OneLane)
+        cycle_loop::<_, LaneMajor>(shared, fold, slot, start, cycles, timed, OneLane)
     } else if active.len() == shared.lanes {
         let all = AllLanes(shared.lanes);
         if shared.word_major {
-            cycle_loop::<_, WordMajor>(shared, slot, mine, start, cycles, timed, all)
+            cycle_loop::<_, WordMajor>(shared, fold, slot, start, cycles, timed, all)
         } else {
-            cycle_loop::<_, LaneMajor>(shared, slot, mine, start, cycles, timed, all)
+            cycle_loop::<_, LaneMajor>(shared, fold, slot, start, cycles, timed, all)
         }
     } else if shared.word_major {
-        cycle_loop::<_, WordMajor>(shared, slot, mine, start, cycles, timed, LaneList(&active))
+        cycle_loop::<_, WordMajor>(shared, fold, slot, start, cycles, timed, LaneList(&active))
     } else {
-        cycle_loop::<_, LaneMajor>(shared, slot, mine, start, cycles, timed, LaneList(&active))
+        cycle_loop::<_, LaneMajor>(shared, fold, slot, start, cycles, timed, LaneList(&active))
     }
 }
 
 /// **The** shared cycle loop, monomorphized per lane set and layout:
-/// computes this worker's tiles, eagerly flushes each tile's off-chip
-/// traffic right after its compute, then applies the exchange after
-/// barrier 1. Barrier waits degenerate to no-ops when the pool is one
-/// wide. Timed runs write the slot's phase split to `phase_ns[slot]`
+/// computes worker `slot`'s tiles of the fold, eagerly flushes each
+/// tile's off-chip traffic right after its compute, waits at the
+/// cycle's one barrier, then applies the exchange. No second barrier
+/// closes the cycle: the next compute writes only the other mailbox
+/// parity, and the parity this exchange reads is next written only
+/// after the next cycle's barrier (the proof is on [`PhaseBarrier`]).
+/// The barrier wait degenerates to a no-op on a one-worker fold. Timed
+/// runs write the slot's phase split to the fold's `phase_ns[slot]`
 /// and its tiles' splits to `tile_ns`.
 fn cycle_loop<L: LaneSet, Y: Layout>(
     shared: &CoreShared,
+    fold: &Fold,
     slot: usize,
-    mine: &[usize],
     start: u64,
     cycles: u64,
     timed: bool,
@@ -3777,6 +4071,7 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
 ) {
     // One lock per tile per run; the steady-state cycle loop acquires
     // no locks and allocates nothing.
+    let mine = &fold.groups[slot];
     let inputs = shared.inputs.read().unwrap();
     let inputs: &[u64] = &inputs;
     let mut guards: Vec<_> = mine
@@ -3794,7 +4089,7 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
     let tracer = shared
         .trace
         .as_ref()
-        .map(|sink| Tracer::new(&shared.trace_bufs[slot], sink));
+        .map(|sink| Tracer::new(&fold.tracks[slot], sink));
     let tracer = tracer.as_ref();
     // Timed runs and traced runs share the chained clock reads; the
     // per-tile histogram (`tile_ns`, empty unless timed) and the trace
@@ -3869,7 +4164,7 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
             }
             if prog.has_offchip() {
                 // Eager flush: the epoch-c+1 aggregate segments have no
-                // reader until after barrier 1, so copying now is legal.
+                // reader until after the barrier, so copying now is legal.
                 offchip_flush::<L, Y>(
                     prog,
                     guard,
@@ -3894,12 +4189,12 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
                 }
             }
         }
-        // exchange_s starts *before* barrier 1 so the straggler wait —
+        // exchange_s starts *before* the barrier so the straggler wait —
         // the measured `t_sync` — lands in the exchange column,
         // matching the BspPhases contract.
         let exch_start = mark;
-        // Barrier 1: all mailboxes for epoch c+1 are filled.
-        shared.phase_barrier.wait(slot);
+        // The cycle's barrier: all mailboxes for epoch c+1 are filled.
+        fold.barrier.wait(slot);
         let mut emark = instr.then(Instant::now);
         if let (Some(tr), Some(s), Some(e)) = (tracer, exch_start, emark) {
             tr.seg(SpanKind::BarrierWait, NO_TILE, c, s, e);
@@ -3924,52 +4219,53 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
                 emark = Some(now);
             }
         }
-        // Barrier 2: every array copy has applied the records.
-        shared.phase_barrier.wait(slot);
-        if let Some(t) = exch_start {
-            let now = Instant::now();
-            if timed {
-                acc.exch += now.duration_since(t).as_nanos() as u64;
-            }
-            if let (Some(tr), Some(e)) = (tracer, emark) {
-                tr.seg(SpanKind::BarrierWait, NO_TILE, c, e, now);
-            }
+        if let (true, Some(t), Some(e)) = (timed, exch_start, emark) {
+            acc.exch += e.duration_since(t).as_nanos() as u64;
         }
     }
     if let Some(tr) = tracer {
         tr.finish();
     }
     if timed {
-        *shared.phase_ns[slot].lock().unwrap() = (acc.comp, acc.off, acc.exch);
+        *fold.phase_ns[slot].lock().unwrap() = (acc.comp, acc.off, acc.exch);
         for (&pi, &ns) in mine.iter().zip(&tile_ns) {
             *shared.tile_ns[pi].lock().unwrap() = ns;
         }
     }
 }
 
-/// The persistent worker entry (abort-on-panic: a hung barrier would
-/// deadlock the run).
-fn worker_loop(shared: &CoreShared, t: usize, mine: Vec<usize>) {
-    let body = std::panic::AssertUnwindSafe(|| worker_body(shared, t, &mine));
-    if std::panic::catch_unwind(body).is_err() {
+/// The persistent worker entry.
+fn worker_loop(shared: &CoreShared, sync: &PoolSync, t: usize) {
+    abort_on_panic(t, || worker_body(shared, sync, t));
+}
+
+/// Runs worker slot `t`'s share of a pooled run, aborting on panic: the
+/// other workers would hang at the barrier.
+fn abort_on_panic(t: usize, body: impl FnOnce()) {
+    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
         eprintln!("engine worker {t} panicked; aborting (a hung barrier would deadlock the run)");
         std::process::abort();
     }
 }
 
-/// The worker run loop: park at the gate, run this worker's chip-major
-/// tile group `mine` through [`run_group`], report.
-fn worker_body(shared: &CoreShared, t: usize, mine: &[usize]) {
+/// The worker run loop: park at the gate, run this worker's tile group
+/// of the current fold through [`run_group`] (or nothing, past the
+/// fold's width), report.
+fn worker_body(shared: &CoreShared, sync: &PoolSync, t: usize) {
     loop {
-        shared.gate.wait();
-        if shared.exit.load(Ordering::SeqCst) {
+        sync.gate.wait();
+        if sync.exit.load(Ordering::SeqCst) {
             return;
         }
         let cycles = shared.cmd_cycles.load(Ordering::SeqCst);
         let start = shared.cmd_start.load(Ordering::SeqCst);
         let timed = shared.cmd_timed.load(Ordering::SeqCst);
-        run_group(shared, t, mine, start, cycles, timed);
-        shared.done.wait();
+        let fold = shared.fold.read().unwrap();
+        if t < fold.workers() {
+            run_group(shared, &fold, t, start, cycles, timed);
+        }
+        drop(fold);
+        sync.done.wait();
     }
 }
 

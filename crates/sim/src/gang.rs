@@ -24,7 +24,11 @@
 //! several lanes per step — so the engines cannot diverge semantically.
 //! The exchange structure is identical across lanes: mailbox epochs,
 //! the off-chip flush (every active lane's words copied),
-//! worker groups, and the two-barrier cycle all carry over verbatim.
+//! worker groups, and the one-barrier cycle all carry over verbatim.
+//! So does the worker count: `threads` is a cap, and each gang engine
+//! times its own first untimed cycles to choose how many workers to
+//! use and how to fold its tiles onto them (see [`crate::bsp`]);
+//! [`pin_workers`](GangSimulator::pin_workers) skips that probe.
 //!
 //! # Per-lane I/O
 //!
@@ -80,8 +84,8 @@ pub struct GangSimulator<'c> {
 impl<'c> GangSimulator<'c> {
     /// Compiles `partition` once and prepares `lanes` lane-strided
     /// copies of the simulation state, served by a persistent pool of
-    /// `threads` workers (tiles fold chip-major, exactly like the
-    /// single-scenario engine).
+    /// at most `threads` workers (the count and the chip-major fold are
+    /// chosen exactly like the single-scenario engine's).
     ///
     /// # Panics
     ///
@@ -162,6 +166,30 @@ impl<'c> GangSimulator<'c> {
                 parendi_telemetry::TraceConfig::from_env(),
             ),
         }
+    }
+
+    /// Skips the worker-count probe: every later run uses `workers`
+    /// workers (at most one per tile), even past the constructor's cap
+    /// and the host's cores. Results are bit-identical at any count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    pub fn pin_workers(&mut self, workers: usize) {
+        self.core.pin_workers(workers);
+    }
+
+    /// The number of worker threads runs use now: the pinned or
+    /// probed count, or the top candidate before either.
+    pub fn workers(&self) -> usize {
+        self.core.workers()
+    }
+
+    /// The worker-count probe's result: `(workers, best ns per cycle)`
+    /// per candidate, empty until the probe has finished (and for
+    /// pinned engines).
+    pub fn worker_probe(&self) -> &[(usize, f64)] {
+        self.core.probe_ns()
     }
 
     /// Total bytes that crossed a chip boundary so far: one whole

@@ -5,7 +5,8 @@
 //! * [`interp::Simulator`] — the single-threaded full-cycle reference
 //!   interpreter (the semantic oracle);
 //! * [`bsp::BspSimulator`] — parallel host execution of a compiled
-//!   partition with the two-barrier BSP structure of Fig. 3;
+//!   partition with the BSP structure of Fig. 3 (one barrier per
+//!   cycle on the host; the machine models keep the paper's two);
 //! * [`gang::GangSimulator`] — scenario-parallel execution: `L`
 //!   independent stimulus lanes in lockstep over one compiled
 //!   partition, with lane-strided state, per-lane I/O, and per-lane

@@ -17,6 +17,7 @@ fn check_equivalence(circuit: &Circuit, tiles: u32, threads: usize, cycles: u64)
     let comp = compile(circuit, &cfg).expect("compiles");
     let mut reference = Simulator::new(circuit);
     let mut bsp = BspSimulator::new(circuit, &comp.partition, threads);
+    bsp.pin_workers(threads);
     reference.step_n(cycles);
     bsp.run(cycles);
     for i in 0..circuit.regs.len() {
@@ -80,6 +81,7 @@ fn strategies_are_equivalent_too() {
             let comp = compile(&c, &cfg).expect("compiles");
             let mut reference = Simulator::new(&c);
             let mut bsp = BspSimulator::new(&c, &comp.partition, 3);
+            bsp.pin_workers(3);
             reference.step_n(20);
             bsp.run(20);
             for i in 0..c.regs.len() {
@@ -104,6 +106,7 @@ fn inputs_propagate_identically() {
     let comp = compile(&c, &PartitionConfig::with_tiles(1)).unwrap();
     let mut reference = Simulator::new(&c);
     let mut bsp = BspSimulator::new(&c, &comp.partition, 1);
+    bsp.pin_workers(1);
     for v in [5u64, 7, 11] {
         reference.poke("x", v);
         bsp.poke("x", v);
@@ -127,6 +130,7 @@ fn long_runs_across_thread_pool_shapes() {
             let comp = compile(&c, &cfg).expect("compiles");
             let mut reference = Simulator::new(&c);
             let mut bsp = BspSimulator::new(&c, &comp.partition, threads);
+            bsp.pin_workers(threads);
             // Uneven chunks catch epoch-parity bugs at run() boundaries.
             for chunk in [1u64, 2, 125, 128] {
                 reference.step_n(chunk);
@@ -174,6 +178,7 @@ fn multi_chip_worker_groups_are_equivalent() {
                 for &threads in &[1usize, 2, 4, 8] {
                     let mut reference = Simulator::new(&c);
                     let mut bsp = BspSimulator::new(&c, &comp.partition, threads);
+                    bsp.pin_workers(threads);
                     if comp.plan.offchip_total_bytes > 0 {
                         assert!(
                             bsp.offchip_channels() > 0,
@@ -222,6 +227,7 @@ fn single_chip_has_no_offchip_phase() {
     let comp = compile(&c, &cfg).expect("compiles");
     assert_eq!(comp.partition.chips, 1);
     let mut bsp = BspSimulator::new(&c, &comp.partition, 2);
+    bsp.pin_workers(2);
     assert_eq!(bsp.offchip_channels(), 0);
     let ph = bsp.run_timed(20);
     assert_eq!(ph.offchip_s, 0.0, "the flush sub-phase is skipped outright");

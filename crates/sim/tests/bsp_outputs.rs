@@ -20,6 +20,7 @@ fn check_outputs(circuit: &parendi_rtl::Circuit, tiles: u32, threads: usize, chu
     let comp = compile(circuit, &cfg).expect("compiles");
     let mut reference = Simulator::new(circuit);
     let mut bsp = BspSimulator::new(circuit, &comp.partition, threads);
+    bsp.pin_workers(threads);
     for &chunk in chunks {
         reference.step_n(chunk);
         bsp.run(chunk);
@@ -47,6 +48,7 @@ fn counter_output_tracks_reference() {
     let c = b.finish().unwrap();
     let comp = compile(&c, &PartitionConfig::with_tiles(2)).unwrap();
     let mut bsp = BspSimulator::new(&c, &comp.partition, 1);
+    bsp.pin_workers(1);
     assert_eq!(bsp.peek_output("q").unwrap().to_u64(), 0, "power-on state");
     bsp.run(1);
     assert_eq!(bsp.peek_output("q").unwrap().to_u64(), 5);
@@ -72,6 +74,7 @@ fn mux_output_follows_input() {
     let comp = compile(&c, &PartitionConfig::with_tiles(2)).unwrap();
     let mut reference = Simulator::new(&c);
     let mut bsp = BspSimulator::new(&c, &comp.partition, 2);
+    bsp.pin_workers(2);
     for v in [0u64, 1, 1, 0] {
         reference.poke("sel", v);
         bsp.poke("sel", v);
@@ -114,6 +117,7 @@ fn array_read_output_sees_exchanged_writes() {
     let comp = compile(&c, &cfg).unwrap();
     let mut reference = Simulator::new(&c);
     let mut bsp = BspSimulator::new(&c, &comp.partition, 2);
+    bsp.pin_workers(2);
     for probe in [0u64, 1, 3, 7] {
         reference.poke("probe", probe);
         bsp.poke("probe", probe);

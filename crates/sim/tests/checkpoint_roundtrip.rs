@@ -60,6 +60,7 @@ fn bsp_restore_is_bit_identical_across_backends_and_threads() {
     let (c, comp) = multi_chip(71);
     for &threads in &[1usize, 4] {
         let mut sim = BspSimulator::new(&c, &comp.partition, threads);
+        sim.pin_workers(threads);
         sim.poke("in0", 41);
         sim.poke("in1", 7);
         sim.run(21);
@@ -74,6 +75,7 @@ fn bsp_restore_is_bit_identical_across_backends_and_threads() {
         // Restore into a fresh engine with a *different* thread count
         // and backend (neither is part of the snapshotted state).
         let mut resumed = BspSimulator::new(&c, &comp.partition, 5 - threads);
+        resumed.pin_workers(5 - threads);
         resumed.restore(&snap).expect("shapes match");
         assert_eq!(resumed.cycle(), 21);
         resumed.poke("in1", 19);
@@ -103,11 +105,13 @@ fn bsp_restore_is_bit_identical_across_backends_and_threads() {
 fn gang_restore_is_bit_identical_across_modes_and_backends() {
     let (c, comp) = multi_chip(72);
     let gang = |threads: usize, lanes: usize, packed: bool| {
-        if packed {
+        let mut g = if packed {
             GangSimulator::new_packed(&c, &comp.partition, threads, lanes)
         } else {
             GangSimulator::new(&c, &comp.partition, threads, lanes)
-        }
+        };
+        g.pin_workers(threads);
+        g
     };
     for packed in [false, true] {
         let lanes = if packed { 6 } else { 5 };
@@ -152,6 +156,7 @@ fn gang_restore_is_bit_identical_across_modes_and_backends() {
 fn corrupted_snapshots_are_rejected() {
     let (c, comp) = multi_chip(73);
     let mut sim = BspSimulator::new(&c, &comp.partition, 2);
+    sim.pin_workers(2);
     sim.run(5);
     let bytes = sim.snapshot().to_bytes();
 
@@ -197,11 +202,13 @@ fn corrupted_snapshots_are_rejected() {
 fn restore_rejects_mismatched_engines() {
     let (c, comp) = multi_chip(74);
     let mut gang = GangSimulator::new(&c, &comp.partition, 2, 4);
+    gang.pin_workers(2);
     gang.run(6);
     let snap = gang.snapshot();
 
     // Wrong lane count.
     let mut other = GangSimulator::new(&c, &comp.partition, 2, 3);
+    other.pin_workers(2);
     other.run(2);
     match other.restore(&snap) {
         Err(SnapshotError::ShapeMismatch(msg)) => {
@@ -214,6 +221,7 @@ fn restore_rejects_mismatched_engines() {
     // Wrong circuit.
     let (c2, comp2) = multi_chip(75);
     let mut other = GangSimulator::new(&c2, &comp2.partition, 2, 4);
+    other.pin_workers(2);
     match other.restore(&snap) {
         Err(SnapshotError::ShapeMismatch(msg)) => {
             assert!(msg.contains("circuit"), "should name the circuit: {msg}")
@@ -236,6 +244,7 @@ fn ckpt_child_entry() {
     };
     let (c, comp) = multi_chip(CHILD_SEED);
     let mut sim = BspSimulator::new(&c, &comp.partition, 2);
+    sim.pin_workers(2);
     sim.set_auto_checkpoint(&path, 10);
     sim.poke("in0", 5);
     sim.poke("in1", 60);
@@ -253,6 +262,7 @@ fn killed_run_resumes_from_auto_checkpoint() {
     let (c, comp) = multi_chip(CHILD_SEED);
     // The uninterrupted reference: same stimulus, straight to 45.
     let mut reference = BspSimulator::new(&c, &comp.partition, 2);
+    reference.pin_workers(2);
     reference.poke("in0", 5);
     reference.poke("in1", 60);
     reference.run(45);
@@ -274,6 +284,7 @@ fn killed_run_resumes_from_auto_checkpoint() {
 
     // Resume on a different thread count.
     let mut resumed = BspSimulator::new(&c, &comp.partition, 3);
+    resumed.pin_workers(3);
     resumed.restore(&snap).expect("shapes match");
     resumed.run(25);
     assert_eq!(resumed.cycle(), 45);
@@ -291,6 +302,7 @@ fn killed_run_resumes_from_auto_checkpoint() {
 fn auto_checkpoint_preserves_results() {
     let (c, comp) = multi_chip(77);
     let mut plain = BspSimulator::new(&c, &comp.partition, 2);
+    plain.pin_workers(2);
     plain.poke("in0", 9);
     plain.poke("in1", 2);
     plain.run(33);
@@ -298,6 +310,7 @@ fn auto_checkpoint_preserves_results() {
     let path = std::env::temp_dir().join(format!("parendi-ckpt-auto-{}.snap", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let mut auto = BspSimulator::new(&c, &comp.partition, 2);
+    auto.pin_workers(2);
     auto.set_auto_checkpoint(&path, 7);
     auto.poke("in0", 9);
     auto.poke("in1", 2);

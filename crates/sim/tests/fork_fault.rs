@@ -45,6 +45,7 @@ fn fork_broadcasts_the_golden_lane() {
     for packed in [false, true] {
         let lanes = if packed { 6 } else { 5 };
         let mut gang = GangSimulator::with_layout(&c, &comp.partition, 2, lanes, packed, false);
+        gang.pin_workers(2);
         for l in 0..lanes {
             gang.poke_lane("in0", l, 7 + l as u64);
             gang.poke_lane("in1", l, l as u64);
@@ -81,6 +82,7 @@ fn post_fork_divergence_matches_the_interpreter() {
     let tail = 17u64;
 
     let mut gang = GangSimulator::new(&c, &comp.partition, 2, lanes);
+    gang.pin_workers(2);
     for l in 0..lanes {
         gang.poke_lane("in0", l, 50 + l as u64);
         gang.poke_lane("in1", l, 5 * l as u64);
@@ -151,6 +153,7 @@ fn campaign_classifies_detected_latent_silent() {
     let lanes = 4usize;
     let golden = 0u32;
     let mut gang = GangSimulator::new(&c, &comp.partition, 2, lanes);
+    gang.pin_workers(2);
 
     let mut plan = FaultPlan::new();
     plan.stuck_at(1, "cnt", 3, true); // visible at o_cnt ⇒ detected
@@ -191,6 +194,7 @@ fn campaign_classifies_detected_latent_silent() {
     // Campaigns must also run under packed lanes (1-bit state
     // bit-packed across lanes) with identical classification.
     let mut packed = GangSimulator::new_packed(&c, &comp.partition, 2, lanes);
+    packed.pin_workers(2);
     let report = run_campaign(&mut packed, &plan, golden, cycles, 8).expect("valid plan");
     assert_eq!(
         (report.detected(), report.latent(), report.silent()),
@@ -209,6 +213,7 @@ fn transient_flip_applies_exactly_once() {
     let c = classification_circuit();
     let comp = compile(&c, &PartitionConfig::with_tiles(2)).expect("compiles");
     let mut gang = GangSimulator::new(&c, &comp.partition, 2, 2);
+    gang.pin_workers(2);
 
     let mut plan = FaultPlan::new();
     plan.flip(1, "cnt", 0, 5); // flip bit 0 of cnt during cycle 5
@@ -253,6 +258,7 @@ fn invalid_plans_are_rejected_with_context() {
     let c = classification_circuit();
     let comp = compile(&c, &PartitionConfig::with_tiles(2)).expect("compiles");
     let mut gang = GangSimulator::new(&c, &comp.partition, 2, 3);
+    gang.pin_workers(2);
 
     let mut plan = FaultPlan::new();
     plan.stuck_at(1, "nonesuch", 0, true);
@@ -297,6 +303,7 @@ fn campaigns_survive_checkpoint_restore() {
 
     // Uninterrupted campaign.
     let mut gang = GangSimulator::new(&c, &comp.partition, 2, lanes);
+    gang.pin_workers(2);
     for l in 0..lanes {
         gang.poke_lane("in0", l, 9);
         gang.poke_lane("in1", l, 4);
@@ -306,6 +313,7 @@ fn campaigns_survive_checkpoint_restore() {
     // Same campaign, snapshotted mid-flight and resumed in a fresh
     // engine: first half here, snapshot, second half there.
     let mut first = GangSimulator::new(&c, &comp.partition, 2, lanes);
+    first.pin_workers(2);
     for l in 0..lanes {
         first.poke_lane("in0", l, 9);
         first.poke_lane("in1", l, 4);
@@ -313,6 +321,7 @@ fn campaigns_survive_checkpoint_restore() {
     let _ = run_campaign(&mut first, &plan, golden, 18, 6).expect("valid plan");
     let snap = first.snapshot();
     let mut second = GangSimulator::new(&c, &comp.partition, 3, lanes);
+    second.pin_workers(3);
     second.restore(&snap).expect("shapes match");
     let resumed = run_campaign(&mut second, &plan, golden, 12, 6).expect("valid plan");
 

@@ -57,6 +57,7 @@ fn finished_lane_freezes_and_survivors_keep_matching() {
     let lanes = 4usize;
     let stim = lane_stim(&c, lanes as u32, 70);
     let mut gang = GangSimulator::new(&c, &comp.partition, 4, lanes);
+    gang.pin_workers(4);
     assert_eq!(gang.active_lanes(), lanes);
 
     gang.run_stimulus(20, &stim);
@@ -169,6 +170,7 @@ fn early_exit_raises_throughput() {
     let lanes = 32usize;
     let cycles = 400u64;
     let mut gang = GangSimulator::new(&c, &comp.partition, 1, lanes);
+    gang.pin_workers(1);
     gang.run(50); // warm
     let t_full = (0..3).map(|_| gang.run(cycles)).fold(f64::MAX, f64::min);
     for l in 1..lanes {
@@ -199,6 +201,7 @@ fn gang_timed_runs_populate_per_tile_histograms() {
     let comp = compile(&c, &cfg).expect("compiles");
     for threads in [1usize, 3] {
         let mut gang = GangSimulator::new(&c, &comp.partition, threads, 4);
+        gang.pin_workers(threads);
         gang.run(10);
         let ph = gang.run_timed(30);
         assert_eq!(

@@ -62,6 +62,7 @@ fn check_gang(
     let comp = compile(circuit, cfg).expect("compiles");
     let stim = random_stim(seed, circuit, lanes as u32, cycles);
     let mut gang = GangSimulator::new(circuit, &comp.partition, threads, lanes);
+    gang.pin_workers(threads);
     gang.run_stimulus(cycles, &stim);
     assert_eq!(gang.cycle(), cycles);
     for lane in 0..lanes {
@@ -126,6 +127,7 @@ fn input_free_gang_lanes_all_match_reference() {
     let comp = compile(&c, &cfg).expect("compiles");
     let mut reference = Simulator::new(&c);
     let mut gang = GangSimulator::new(&c, &comp.partition, 4, 8);
+    gang.pin_workers(4);
     reference.step_n(60);
     gang.run(60);
     for lane in 0..8 {
@@ -159,6 +161,7 @@ fn gang_chunked_runs_with_per_lane_pokes() {
     let comp = compile(&c, &cfg).expect("compiles");
     let lanes = 4usize;
     let mut gang = GangSimulator::new(&c, &comp.partition, 3, lanes);
+    gang.pin_workers(3);
     let mut refs: Vec<Simulator> = (0..lanes).map(|_| Simulator::new(&c)).collect();
     let mut total = 0u64;
     for (k, chunk) in [1u64, 2, 61, 64].into_iter().enumerate() {
@@ -191,6 +194,7 @@ fn gang_broadcast_poke_and_stimulus_bookkeeping() {
     let cfg = PartitionConfig::with_tiles(4);
     let comp = compile(&c, &cfg).expect("compiles");
     let mut gang = GangSimulator::new(&c, &comp.partition, 2, 3);
+    gang.pin_workers(2);
     gang.poke("in0", 1);
     gang.run(10);
     let a = gang.reg_value_lane(RegId(0), 0);

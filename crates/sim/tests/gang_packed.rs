@@ -85,6 +85,7 @@ fn check_packed_vs_interp(
     let comp = compile(circuit, cfg).expect("compiles");
     let stim = random_stim(seed, circuit, lanes as u32, cycles);
     let mut gang = GangSimulator::new_packed(circuit, &comp.partition, threads, lanes);
+    gang.pin_workers(threads);
     assert!(gang.is_packed());
     gang.run_stimulus(cycles, &stim);
     for lane in 0..lanes {
@@ -117,7 +118,9 @@ fn check_packed_vs_strided(
     let comp = compile(circuit, cfg).expect("compiles");
     let stim = random_stim(seed, circuit, lanes as u32, cycles);
     let mut packed = GangSimulator::new_packed(circuit, &comp.partition, threads, lanes);
+    packed.pin_workers(threads);
     let mut strided = GangSimulator::new(circuit, &comp.partition, threads, lanes);
+    strided.pin_workers(threads);
     packed.run_stimulus(cycles, &stim);
     strided.run_stimulus(cycles, &stim);
     for lane in 0..lanes {
@@ -213,6 +216,7 @@ fn gang_packed_early_exit_freezes_lanes() {
     let cycles = 30u64;
     let stim = random_stim(37, &c, lanes as u32, cycles);
     let mut gang = GangSimulator::new_packed(&c, &comp.partition, 4, lanes);
+    gang.pin_workers(4);
 
     // Run halfway, snapshot two lanes, retire them, run the rest.
     let half = cycles / 2;

@@ -136,6 +136,7 @@ fn golden_two_worker_trace_is_wellformed_chrome_json() {
         TransportChoice::InProcess,
         TraceConfig::tile(),
     );
+    sim.pin_workers(2);
     sim.poke("in0", 5);
     sim.poke("in1", 9);
     sim.run(4);
@@ -188,6 +189,7 @@ fn phase_level_trace_is_coarser_and_still_monotone() {
     for cfg in [TraceConfig::tile(), TraceConfig::phase()] {
         let mut sim =
             BspSimulator::with_trace(&c, &comp.partition, 2, TransportChoice::InProcess, cfg);
+        sim.pin_workers(2);
         sim.poke("in0", 5);
         sim.poke("in1", 9);
         sim.run(4);
@@ -223,6 +225,7 @@ fn traced_runs_are_bit_identical_to_untraced() {
                     TransportChoice::InProcess,
                     trace,
                 );
+                s.pin_workers(threads);
                 s.poke("in0", 13);
                 s.poke("in1", 0xfeed);
                 s.run(cycles);
@@ -255,6 +258,7 @@ fn traced_runs_are_bit_identical_to_untraced() {
                     TransportChoice::InProcess,
                     trace,
                 );
+                g.pin_workers(threads);
                 for l in 0..lanes {
                     g.poke_lane("in0", l, 13 + l as u64);
                     g.poke_lane("in1", l, 0xfeed ^ l as u64);
@@ -293,6 +297,7 @@ fn traced_multi_chip_runs_stay_monotone() {
             TransportChoice::InProcess,
             TraceConfig::tile(),
         );
+        sim.pin_workers(threads);
         sim.poke("in0", 1);
         sim.run(8);
         let (_, spans) = parse_chrome(&sim.trace_json().expect("tracing on"));

@@ -36,6 +36,7 @@ fn check_chip_count(
     );
     let mut reference = Simulator::new(&c);
     let mut bsp = BspSimulator::new(&c, &comp.partition, threads);
+    bsp.pin_workers(threads);
     for &(base, cycles) in schedule {
         for i in 0..3 {
             let name = format!("in{i}");
@@ -124,6 +125,7 @@ fn gang_lanes_match_under_every_backend() {
         r.step_n(cycles);
     }
     let mut gang = GangSimulator::new(&c, &comp.partition, 2, lanes);
+    gang.pin_workers(2);
     for l in 0..lanes {
         gang.poke_lane("in0", l, 3 + l as u64);
         gang.poke_lane("in1", l, 77u64.wrapping_mul(l as u64 + 1));

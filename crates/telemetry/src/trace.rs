@@ -137,7 +137,7 @@ pub enum SpanKind {
     /// Copying a tile's off-chip send segments into the pair
     /// aggregates.
     OffchipFlush = 1,
-    /// Waiting on the phase barrier (either of the two per cycle).
+    /// Waiting on the phase barrier (once per cycle).
     BarrierWait = 2,
     /// A tile program's on-chip exchange phase.
     Exchange = 3,

@@ -31,6 +31,7 @@ fn check_bench_cfg(bench: Benchmark, cfg: PartitionConfig, threads: usize, cycle
 
     let mut reference = Simulator::new(&circuit);
     let mut bsp = BspSimulator::new(&circuit, &comp.partition, threads);
+    bsp.pin_workers(threads);
     reference.step_n(cycles);
     bsp.run(cycles);
     for i in 0..circuit.regs.len() {
